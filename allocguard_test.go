@@ -5,6 +5,8 @@ import (
 
 	"sentomist"
 	"sentomist/internal/experiments"
+	"sentomist/internal/feature"
+	"sentomist/internal/lifecycle"
 	"sentomist/internal/stats"
 	"sentomist/internal/svm"
 	"sentomist/internal/synth"
@@ -334,5 +336,44 @@ func TestCachedTrainingAllocBudget(t *testing.T) {
 	}
 	if allocs > maxCachedTrainAllocs {
 		t.Errorf("allocs/op regressed: %d > %d (threshold; see BENCH_PR4.json)", allocs, maxCachedTrainAllocs)
+	}
+}
+
+// TestCounterSparseAllocBudget guards sparse counter extraction: with its
+// per-pc scratch pooled, one call allocates only the two output slices
+// (Idx and Val) — no sort scratch, no per-delta pairs.
+func TestCounterSparseAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts; CI guards allocations in a non-race step")
+	}
+	run, err := sentomist.RunCaseI(sentomist.CaseIConfig{PeriodMS: 20, Seconds: 10, Seed: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := lifecycle.NewSequence(run.Trace.Node(sentomist.CaseISensorID)).Extract()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ivs []lifecycle.Interval
+	for _, iv := range all {
+		if iv.IRQ == sentomist.IRQADC && iv.Complete {
+			ivs = append(ivs, iv)
+		}
+	}
+	ext := feature.NewExtractor(run.Trace)
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, iv := range ivs {
+			if _, err := ext.CounterSparse(iv); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	perCall := allocs / float64(len(ivs))
+	t.Logf("CounterSparse over %d Case-I intervals: %.2f allocs/call", len(ivs), perCall)
+	if perCall > 2 {
+		t.Errorf("allocs/call regressed: %.2f > 2 (the Idx and Val output slices)", perCall)
 	}
 }

@@ -48,8 +48,8 @@ func main() {
 	flag.Float64Var(&opt.nu, "nu", 0.05, "one-class SVM nu parameter")
 	flag.IntVar(&opt.top, "top", 10, "rows to print from the top")
 	flag.IntVar(&opt.bottom, "bottom", 2, "rows to print from the bottom")
-	flag.IntVar(&opt.parallelism, "parallelism", 0, "worker pool for anatomize/feature and the SVM Gram build (0 = GOMAXPROCS, 1 = sequential); the ranking is identical at any setting")
-	flag.IntVar(&opt.svmCacheMB, "svm-cache-mb", 0, "train the SVM through an on-demand kernel column cache bounded to this many MiB instead of materializing the full Gram matrix (0 = materialize when it fits); the ranking is bit-identical at any budget")
+	flag.IntVar(&opt.parallelism, "parallelism", 0, "worker pool for anatomize/feature and the SVM kernel-column fills (0 = GOMAXPROCS, 1 = sequential); the ranking is identical at any setting")
+	flag.IntVar(&opt.svmCacheMB, "svm-cache-mb", 0, "budget in MiB of the on-demand kernel column cache the SVM trains through (0 = the 256 MiB default); the ranking is bit-identical at any budget")
 	flag.BoolVar(&opt.svmShrink, "svm-shrink", false, "enable the SMO shrinking heuristic for large campaigns (same ranking up to the solver tolerance, not bitwise)")
 	flag.IntVar(&opt.onlineRefit, "online-refit", 0, "rank as you go: refit the SVM warm every N ingested batches and print each intermediate top-K; the final ranking is bit-identical to the one-shot path (svm detector only)")
 	flag.IntVar(&opt.onlineTopK, "online-topk", 10, "intermediate rankings keep the K most suspicious intervals (with -online-refit)")

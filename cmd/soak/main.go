@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 
@@ -21,7 +22,10 @@ import (
 	"sentomist/internal/feature"
 	"sentomist/internal/lifecycle"
 	"sentomist/internal/node"
+	"sentomist/internal/outlier"
 	"sentomist/internal/sim"
+	"sentomist/internal/stats"
+	"sentomist/internal/svm"
 	"sentomist/internal/synth"
 	"sentomist/internal/trace"
 )
@@ -229,6 +233,33 @@ func verifyParallel(cfg synth.Config, ref *apps.Run, workers int, spec bool, spe
 	return par.Stats, nil
 }
 
+// denseGramSVM is the default detector (outlier.OneClassSVM with its
+// default ν) trained on the fully materialized Gram matrix: the reference
+// the default column-cache path must reproduce bit-for-bit.
+type denseGramSVM struct{}
+
+func (denseGramSVM) Name() string { return "one-class-svm-dense-gram" }
+
+func (denseGramSVM) config(l int) svm.Config {
+	return svm.Config{Nu: math.Max(0.05, 1/float64(l)), Gram: svm.GramDense}
+}
+
+func (d denseGramSVM) Score(samples [][]float64) ([]float64, error) {
+	m, err := svm.Train(samples, d.config(len(samples)))
+	if err != nil {
+		return nil, err
+	}
+	return outlier.Normalize(m.TrainingDecisions()), nil
+}
+
+func (d denseGramSVM) ScoreSparse(samples []stats.Sparse) ([]float64, error) {
+	m, err := svm.TrainSparse(samples, d.config(len(samples)))
+	if err != nil {
+		return nil, err
+	}
+	return outlier.Normalize(m.TrainingDecisions()), nil
+}
+
 // verifyMine ranks one run's intervals through the dense-Gram SVM and
 // through the bounded kernel column cache, requiring bit-identical
 // rankings (same order, same scores); with shrink it additionally trains
@@ -238,15 +269,15 @@ func verifyMine(t *trace.Trace, irq int, cacheBytes int64, shrink bool) (int, er
 	// Every synth node runs its own generated program, so counters from
 	// different nodes have different dimensionalities; mine node 0 (it
 	// exists in every scenario).
+	cfg := core.Config{IRQ: irq, Nodes: []int{0}}
 	mine := func(cache int64, shrinking bool) (*core.Ranking, error) {
-		return core.Mine([]core.RunInput{{Trace: t}}, core.Config{
-			IRQ:           irq,
-			Nodes:         []int{0},
-			SVMCacheBytes: cache,
-			SVMShrinking:  shrinking,
-		})
+		c := cfg
+		c.SVMCacheBytes, c.SVMShrinking = cache, shrinking
+		return core.Mine([]core.RunInput{{Trace: t}}, c)
 	}
-	dense, err := mine(0, false)
+	ref := cfg
+	ref.Detector = denseGramSVM{}
+	dense, err := core.Mine([]core.RunInput{{Trace: t}}, ref)
 	if errors.Is(err, core.ErrNoIntervals) {
 		return 0, nil
 	}

@@ -7,10 +7,13 @@ package sentomist_test
 // These tests pin that equivalence on the three paper case studies.
 
 import (
+	"math"
 	"testing"
 
 	"sentomist"
 	"sentomist/internal/outlier"
+	"sentomist/internal/stats"
+	"sentomist/internal/svm"
 )
 
 // caseFixtures returns one Mine workload per paper case study, sized for
@@ -144,24 +147,55 @@ func sameRankingExact(t *testing.T, label string, want, got *sentomist.Ranking) 
 	}
 }
 
+// denseGramSVM is the default detector (outlier.OneClassSVM with its
+// default ν) trained on the fully materialized Gram matrix: the reference
+// the default column-cache path must reproduce bit-for-bit.
+type denseGramSVM struct{}
+
+func (denseGramSVM) Name() string { return "one-class-svm-dense-gram" }
+
+func (denseGramSVM) config(l int) svm.Config {
+	return svm.Config{Nu: math.Max(0.05, 1/float64(l)), Gram: svm.GramDense}
+}
+
+func (d denseGramSVM) Score(samples [][]float64) ([]float64, error) {
+	m, err := svm.Train(samples, d.config(len(samples)))
+	if err != nil {
+		return nil, err
+	}
+	return outlier.Normalize(m.TrainingDecisions()), nil
+}
+
+func (d denseGramSVM) ScoreSparse(samples []stats.Sparse) ([]float64, error) {
+	m, err := svm.TrainSparse(samples, d.config(len(samples)))
+	if err != nil {
+		return nil, err
+	}
+	return outlier.Normalize(m.TrainingDecisions()), nil
+}
+
 // TestMineCachedKernelEquivalence pins the on-demand kernel cache's
-// central claim on the three case studies: mining through the bounded
-// column cache — at budgets from effectively unbounded down to 5% of the
-// dense Gram footprint — reproduces the default pipeline's ranking
-// bit-for-bit, and the shrinking heuristic reproduces it to the solver
-// tolerance (the golden Figure 5 tables stay byte-stable either way).
+// central claim on the three case studies: mining through the column
+// cache — at the default budget and at budgets from effectively unbounded
+// down to 5% of the dense Gram footprint — reproduces the dense-Gram
+// reference ranking bit-for-bit, and the shrinking heuristic reproduces it
+// to the solver tolerance (the golden Figure 5 tables stay byte-stable
+// either way).
 func TestMineCachedKernelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end simulations")
 	}
 	for name, fx := range caseFixtures(t) {
 		t.Run(name, func(t *testing.T) {
-			want, err := sentomist.Mine(fx.inputs, fx.cfg)
+			ref := fx.cfg
+			ref.Detector = denseGramSVM{}
+			want, err := sentomist.Mine(fx.inputs, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
 			gram := int64(8) * int64(len(want.Samples)) * int64(len(want.Samples))
 			budgets := map[string]int64{
+				"default":   0,
 				"unbounded": 1 << 40,
 				"25pct":     gram / 4,
 				"5pct":      gram / 20,

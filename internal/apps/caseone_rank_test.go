@@ -5,7 +5,6 @@ import (
 
 	"sentomist/internal/core"
 	"sentomist/internal/dev"
-	"sentomist/internal/lifecycle"
 )
 
 // TestCaseOneRanking reproduces the shape of Figure 5(a): pool five testing
@@ -35,12 +34,8 @@ func TestCaseOneRanking(t *testing.T) {
 	t.Logf("samples=%d dim=%d excluded=%d", len(ranking.Samples), ranking.Dim, ranking.Excluded)
 
 	// Oracle per run.
-	seqs := make([]*lifecycle.Sequence, len(runs))
-	for i, run := range runs {
-		seqs[i] = lifecycle.NewSequence(run.Trace.Node(OscSensorID))
-	}
 	symptomatic := func(s core.Sample) bool {
-		return PollutionSymptom(seqs[s.Run-1], s.Interval)
+		return PollutionSymptom(runs[s.Run-1].Trace.Node(OscSensorID), s.Interval)
 	}
 	total := 0
 	for _, s := range ranking.Samples {

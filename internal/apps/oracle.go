@@ -29,7 +29,7 @@ func CaseISymptom(run *Run, iv lifecycle.Interval) (bool, error) {
 	if nt == nil {
 		return false, fmt.Errorf("apps: oracle: run has no trace for node %d", iv.Node)
 	}
-	return PollutionSymptom(lifecycle.NewSequence(nt), iv), nil
+	return PollutionSymptom(nt, iv), nil
 }
 
 // CaseIISymptom reports whether iv (a packet-arrival interval of the

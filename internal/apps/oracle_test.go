@@ -235,3 +235,102 @@ func TestFirstMarkerWithPCMatchesNaiveScan(t *testing.T) {
 		t.Errorf("unknown node: got %d, want -1", got)
 	}
 }
+
+// pollutionSymptomItems is the reference Case-I oracle: the post-then-ADC
+// rule walked over the instance's items [StartItem, EndItem] of the node's
+// full lifecycle sequence.
+func pollutionSymptomItems(seq *lifecycle.Sequence, iv lifecycle.Interval) bool {
+	if iv.IRQ != dev.IRQADC || !iv.EndsWithTask {
+		return false
+	}
+	items := seq.Items()
+	posted := false
+	for i := iv.StartItem + 1; i <= iv.EndItem && i < len(items); i++ {
+		it := items[i]
+		switch {
+		case it.Kind == trace.PostTask && it.Arg == 0:
+			posted = true
+		case posted && it.Kind == trace.Int && it.Arg == dev.IRQADC:
+			return true
+		}
+	}
+	return false
+}
+
+// TestPollutionSymptomMatchesItemWalk pins the in-place marker walk to the
+// item-sequence reference on every sensor interval of buggy and fixed
+// Case-I runs across seeds and sampling periods.
+func TestPollutionSymptomMatchesItemWalk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end simulations")
+	}
+	intervals, symptomatic := 0, 0
+	for _, fixed := range []bool{false, true} {
+		for seed := uint64(1); seed <= 12; seed++ {
+			for _, period := range []int{20, 40, 60, 80, 100} {
+				run, err := RunOscilloscope(OscConfig{PeriodMS: period, Seconds: 10, Seed: seed, Fixed: fixed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				nt := run.Trace.Node(OscSensorID)
+				seq := lifecycle.NewSequence(nt)
+				ivs, err := seq.Extract()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, iv := range ivs {
+					got, want := PollutionSymptom(nt, iv), pollutionSymptomItems(seq, iv)
+					if got != want {
+						t.Fatalf("fixed=%v seed %d D=%d interval %+v: marker walk %v, item walk %v",
+							fixed, seed, period, iv, got, want)
+					}
+					intervals++
+					if got {
+						symptomatic++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d intervals agree, %d symptomatic", intervals, symptomatic)
+	if symptomatic == 0 {
+		t.Fatal("no symptomatic interval: the comparison is vacuous")
+	}
+}
+
+// TestPollutionSymptomStopsAtLastRunTask pins the window's end on
+// hand-built traces: an ADC interrupt that preempts the instance's final
+// task (between its runTask and the closing TaskEnd) is outside the
+// instance's items and is no symptom, while one between the post and the
+// run is.
+func TestPollutionSymptomStopsAtLastRunTask(t *testing.T) {
+	mk := func(kind trace.Kind, arg int) trace.Marker { return trace.Marker{Kind: kind, Arg: arg} }
+	for _, c := range []struct {
+		name    string
+		markers []trace.Marker
+		want    bool
+	}{
+		{"adc-before-run", []trace.Marker{
+			mk(trace.Int, dev.IRQADC), mk(trace.PostTask, 0), mk(trace.Reti, 0),
+			mk(trace.Int, dev.IRQADC), mk(trace.Reti, 0),
+			mk(trace.RunTask, 0), mk(trace.TaskEnd, 0),
+		}, true},
+		{"adc-preempts-task", []trace.Marker{
+			mk(trace.Int, dev.IRQADC), mk(trace.PostTask, 0), mk(trace.Reti, 0),
+			mk(trace.RunTask, 0),
+			mk(trace.Int, dev.IRQADC), mk(trace.Reti, 0),
+			mk(trace.TaskEnd, 0),
+		}, false},
+	} {
+		nt := &trace.NodeTrace{NodeID: OscSensorID, Markers: c.markers}
+		seq := lifecycle.NewSequence(nt)
+		ivs, err := seq.Extract()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		iv := ivs[0]
+		if got, ref := PollutionSymptom(nt, iv), pollutionSymptomItems(seq, iv); got != c.want || ref != c.want {
+			t.Fatalf("%s: marker walk %v, item walk %v, want %v (interval %+v)", c.name, got, ref, c.want, iv)
+		}
+	}
+}

@@ -284,18 +284,28 @@ func RunOscilloscope(cfg OscConfig) (*Run, error) {
 // the task's run, another ADC interrupt fired — the exact outlier pattern
 // the paper spells out in Section V ("ADC interrupt, posting a task,
 // interrupt exit, ADC interrupt, interrupt exit, running the task").
-func PollutionSymptom(seq *lifecycle.Sequence, iv lifecycle.Interval) bool {
+//
+// It walks nt's markers in (iv.StartMarker, r], where r is the instance's
+// last runTask: the last RunTask marker at or before iv.EndMarker, since
+// tasks do not nest and none can start between r and the TaskEnd that
+// closes the window. That is the instance's own lifecycle items, read in
+// place in O(interval) without building the node's item sequence.
+func PollutionSymptom(nt *trace.NodeTrace, iv lifecycle.Interval) bool {
 	if iv.IRQ != dev.IRQADC || !iv.EndsWithTask {
 		return false
 	}
-	items := seq.Items()
+	markers := nt.Markers
+	r := min(iv.EndMarker, len(markers)-1)
+	for r > iv.StartMarker && markers[r].Kind != trace.RunTask {
+		r--
+	}
 	posted := false
-	for i := iv.StartItem + 1; i <= iv.EndItem && i < len(items); i++ {
-		it := items[i]
+	for m := max(iv.StartMarker+1, 0); m <= r; m++ {
+		mk := &markers[m]
 		switch {
-		case it.Kind == trace.PostTask && it.Arg == 0:
+		case mk.Kind == trace.PostTask && mk.Arg == 0:
 			posted = true
-		case posted && it.Kind == trace.Int && it.Arg == dev.IRQADC:
+		case posted && mk.Kind == trace.Int && mk.Arg == dev.IRQADC:
 			return true
 		}
 	}

@@ -33,7 +33,7 @@ func TestOscilloscopeRunsAndPollutes(t *testing.T) {
 	}
 	polluted := 0
 	for _, iv := range adc {
-		if PollutionSymptom(seq, iv) {
+		if PollutionSymptom(nt, iv) {
 			polluted++
 		}
 	}

@@ -33,7 +33,7 @@ func TestSequentialModeCannotTriggerTheRace(t *testing.T) {
 				continue
 			}
 			intervals++
-			if PollutionSymptom(seq, iv) {
+			if PollutionSymptom(nt, iv) {
 				pollutions++
 			}
 		}

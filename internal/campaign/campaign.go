@@ -53,9 +53,10 @@ type Config struct {
 	// setting.
 	Speculate bool
 	SpecDepth int
-	// SVMCacheBytes bounds the default detector's kernel column cache;
-	// see core.Config.SVMCacheBytes. Rankings are bit-identical at any
-	// budget. Ignored when Detector is set explicitly.
+	// SVMCacheBytes bounds the default detector's kernel column cache
+	// (0 selects svm.DefaultCacheBytes); see core.Config.SVMCacheBytes.
+	// Rankings are bit-identical at any budget. Ignored when Detector is
+	// set explicitly.
 	SVMCacheBytes int64
 	// SVMShrinking enables the default detector's shrinking heuristic;
 	// see core.Config.SVMShrinking. Ignored when Detector is set.

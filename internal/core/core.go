@@ -76,11 +76,10 @@ type Config struct {
 	// rankings; this switch exists for benchmarking the dense baseline
 	// and for equivalence tests.
 	DenseFeatures bool
-	// SVMCacheBytes, when positive, makes the default one-class-SVM
-	// detector train through the on-demand kernel column cache bounded
-	// to this many bytes instead of materializing the full Gram matrix.
-	// Rankings are bit-identical at any budget. Ignored when Detector is
-	// set explicitly.
+	// SVMCacheBytes bounds the on-demand kernel column cache the default
+	// one-class-SVM detector trains through (0 selects
+	// svm.DefaultCacheBytes). Rankings are bit-identical at any budget.
+	// Ignored when Detector is set explicitly.
 	SVMCacheBytes int64
 	// SVMShrinking enables the SMO shrinking heuristic on the default
 	// detector for large campaigns; the ranking is stable to the solver

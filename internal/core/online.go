@@ -560,7 +560,6 @@ func NewOnlineMiner(cfg OnlineConfig) (*OnlineMiner, error) {
 			irq: irq,
 			inc: svm.NewIncremental(svm.Config{
 				Nu:         0.05, // adjusted per refit for the ν ≥ 1/l clamp
-				Gram:       svm.GramCached,
 				CacheBytes: cfg.SVMCacheBytes,
 				Shrinking:  cfg.SVMShrinking,
 				Parallelism: func() int {

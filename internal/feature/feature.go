@@ -15,7 +15,9 @@ package feature
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"sentomist/internal/isa"
 	"sentomist/internal/lifecycle"
@@ -70,52 +72,79 @@ func (e *Extractor) Counter(iv lifecycle.Interval) ([]float64, error) {
 }
 
 // CounterSparse is Counter without materializing the dense vector: the
-// marker deltas are accumulated straight into a sorted (pc, count) list.
-// An interval executes a tiny slice of the binary, so the result holds a
-// handful of entries instead of ProgramLen dimensions. Per-PC counts are
-// accumulated in marker order, exactly as Counter does, so the densified
-// result is bit-identical to Counter's.
+// result holds only the executed (pc, count) pairs, sorted by pc. An
+// interval executes a tiny slice of the binary, so that is a handful of
+// entries instead of ProgramLen dimensions. Each pc's sum starts at 0 and
+// adds its deltas in marker order (0 + c₁ + c₂ … equals c₁ + c₂ …
+// bitwise), exactly as Counter adds them, so the densified result is
+// bit-identical to Counter's. A delta at a pc outside the node's program
+// is an error.
 func (e *Extractor) CounterSparse(iv lifecycle.Interval) (stats.Sparse, error) {
 	nt, err := e.nodeWindow(iv)
 	if err != nil {
 		return stats.Sparse{}, err
 	}
-	// Collect the window's deltas, stable-sort by PC, then coalesce
-	// runs. The stable sort keeps each PC's deltas in marker order, so
-	// per-PC sums accumulate in exactly the order Counter adds them.
-	total := 0
-	for m := iv.StartMarker + 1; m <= iv.EndMarker; m++ {
-		total += len(nt.Markers[m].Deltas)
-	}
-	type pcCount struct {
-		pc    uint16
-		count float64
-	}
-	pairs := make([]pcCount, 0, total)
+	sc := counterScratchPool.Get().(*counterScratch)
+	defer counterScratchPool.Put(sc)
 	for m := iv.StartMarker + 1; m <= iv.EndMarker; m++ {
 		for _, d := range nt.Markers[m].Deltas {
-			if d.Count == 0 {
-				continue
+			if d.Count != 0 {
+				sc.add(d.PC, float64(d.Count))
 			}
-			pairs = append(pairs, pcCount{d.PC, float64(d.Count)})
 		}
 	}
-	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a].pc < pairs[b].pc })
+	slices.Sort(sc.touched)
+	if n := len(sc.touched); n > 0 && int(sc.touched[n-1]) >= nt.ProgramLen {
+		pc := sc.touched[n-1]
+		sc.reset()
+		return stats.Sparse{}, fmt.Errorf("feature: node %d executed pc %d outside its %d-instruction program",
+			iv.Node, pc, nt.ProgramLen)
+	}
 	s := stats.Sparse{
-		Idx: make([]int32, 0, len(pairs)),
-		Val: make([]float64, 0, len(pairs)),
+		Idx: make([]int32, len(sc.touched)),
+		Val: make([]float64, len(sc.touched)),
 		Dim: nt.ProgramLen,
 	}
-	for i := 0; i < len(pairs); {
-		pc := pairs[i].pc
-		sum := pairs[i].count
-		for i++; i < len(pairs) && pairs[i].pc == pc; i++ {
-			sum += pairs[i].count
-		}
-		s.Idx = append(s.Idx, int32(pc))
-		s.Val = append(s.Val, sum)
+	for i, pc := range sc.touched {
+		s.Idx[i] = int32(pc)
+		s.Val[i] = sc.sums[pc]
 	}
+	sc.reset()
 	return s, nil
+}
+
+// counterScratch accumulates one CounterSparse window: a per-pc sum array,
+// all zero between calls, and the pcs the window touched. It is sized by
+// the largest pc seen — at most 1<<16, since Delta.PC is a uint16 — never
+// by the trace's declared ProgramLen. Scratches are pooled per call
+// because one Extractor serves concurrent mining jobs.
+type counterScratch struct {
+	sums    []float64
+	touched []uint16
+}
+
+var counterScratchPool = sync.Pool{New: func() any { return new(counterScratch) }}
+
+// add accumulates a nonzero count at pc. A sum of nonzero counts is never
+// zero, so a zero cell marks a pc the window has not touched yet.
+func (sc *counterScratch) add(pc uint16, count float64) {
+	if int(pc) >= len(sc.sums) {
+		grown := make([]float64, min(max(int(pc)+1, 2*len(sc.sums)), 1<<16))
+		copy(grown, sc.sums)
+		sc.sums = grown
+	}
+	if sc.sums[pc] == 0 {
+		sc.touched = append(sc.touched, pc)
+	}
+	sc.sums[pc] += count
+}
+
+// reset zeroes the touched cells, restoring the all-zero invariant.
+func (sc *counterScratch) reset() {
+	for _, pc := range sc.touched {
+		sc.sums[pc] = 0
+	}
+	sc.touched = sc.touched[:0]
 }
 
 // CountersSparse extracts sparse instruction counters for a batch of

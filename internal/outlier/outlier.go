@@ -90,14 +90,13 @@ type OneClassSVM struct {
 	Nu float64
 	// Kernel defaults to RBF with gamma = 1/dim.
 	Kernel svm.Kernel
-	// Parallelism bounds the goroutines building the training Gram
-	// matrix: 0 = GOMAXPROCS, 1 = sequential. Scores are identical
+	// Parallelism bounds the goroutines filling kernel columns during
+	// training: 0 = GOMAXPROCS, 1 = sequential. Scores are identical
 	// either way.
 	Parallelism int
-	// CacheBytes, when positive, trains through the on-demand kernel
-	// column cache bounded to this many bytes instead of materializing
-	// the full l×l Gram matrix. Scores are bit-identical at any budget;
-	// oversized batches use the cache automatically even at zero.
+	// CacheBytes bounds the on-demand kernel column cache training runs
+	// through (0 selects svm.DefaultCacheBytes); the l×l Gram matrix is
+	// never materialized. Scores are bit-identical at any budget.
 	CacheBytes int64
 	// Shrinking enables the SMO shrinking heuristic for large batches.
 	// The optimum meets the same ε tolerance but is not bitwise equal to

@@ -135,26 +135,40 @@ func TestCachedTrainingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheBytesOptsIntoCachedPath: setting a cache budget under GramAuto
-// selects the cached path (diagnostics populated), with the same model.
-func TestCacheBytesOptsIntoCachedPath(t *testing.T) {
+// TestGramRouting pins which Gram path each mode takes: the default
+// trains through the column cache (diagnostics populated, at the default
+// or an explicit budget) and GramDense materializes the matrix, with the
+// same model bits either way. TestDenseGramGuard covers GramDense past its
+// budget.
+func TestGramRouting(t *testing.T) {
 	rng := randx.New(5)
 	samples := cluster(rng, 60, []float64{1, 1}, 0.7)
-	base, err := Train(samples, Config{Nu: 0.1})
+	dense, err := Train(samples, Config{Nu: 0.1, Gram: GramDense})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.CacheCols != 0 || base.CacheMisses != 0 {
-		t.Fatalf("auto path small problem should be dense, got cache stats %+v", base)
+	if dense.CacheCols != 0 || dense.CacheMisses != 0 || dense.CacheHits != 0 {
+		t.Fatalf("GramDense reported cache stats: cols %d, misses %d, hits %d",
+			dense.CacheCols, dense.CacheMisses, dense.CacheHits)
 	}
-	cached, err := Train(samples, Config{Nu: 0.1, CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		wantCap int
+	}{
+		{"default", Config{Nu: 0.1}, len(samples)},
+		{"budget", Config{Nu: 0.1, CacheBytes: 8 * 60 * 5}, 5},
+	} {
+		m, err := Train(samples, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.CacheCols != c.wantCap || m.CacheMisses == 0 {
+			t.Fatalf("%s: want the cached path with %d columns, got cols %d, misses %d",
+				c.name, c.wantCap, m.CacheCols, m.CacheMisses)
+		}
+		sameModelBits(t, c.name, dense, m)
 	}
-	if cached.CacheCols == 0 || cached.CacheMisses == 0 {
-		t.Fatal("CacheBytes under GramAuto did not select the cached path")
-	}
-	sameModelBits(t, "auto-cached", base, cached)
 }
 
 // rankingOrder is argsort-ascending over training decisions with
@@ -241,9 +255,9 @@ func TestShrinkingSameRanking(t *testing.T) {
 }
 
 // TestDenseGramGuard: explicit GramDense on an oversized problem errors
-// with a clear message instead of attempting the l×l allocation, and
-// GramAuto routes the same problem to the cached path with an unchanged
-// model.
+// with a clear message instead of attempting the l×l allocation, and the
+// default mode trains the same problem through the cache with an
+// unchanged model.
 func TestDenseGramGuard(t *testing.T) {
 	old := denseGramLimit
 	denseGramLimit = 64 << 10 // 64 KiB: oversized at l ≥ 91
@@ -265,17 +279,17 @@ func TestDenseGramGuard(t *testing.T) {
 
 	auto, err := Train(samples, Config{Nu: 0.1})
 	if err != nil {
-		t.Fatalf("auto mode should route oversized problems to the cache: %v", err)
+		t.Fatalf("default mode should train oversized problems through the cache: %v", err)
 	}
 	if auto.CacheCols == 0 {
-		t.Fatal("auto mode did not use the cached path for an oversized problem")
+		t.Fatal("default mode did not use the cached path for an oversized problem")
 	}
 	denseGramLimit = old
 	want, err := Train(samples, Config{Nu: 0.1, Gram: GramDense})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameModelBits(t, "auto-routed", want, auto)
+	sameModelBits(t, "default-cached", want, auto)
 }
 
 // fakeKernel looks kernel values up in an explicit matrix, keyed by the

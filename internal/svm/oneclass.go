@@ -16,27 +16,25 @@ import (
 type GramMode uint8
 
 const (
-	// GramAuto materializes the full Gram matrix when it fits the dense
-	// budget and no cache budget was requested, and switches to the
-	// on-demand column cache otherwise. The trained model is bit-identical
-	// either way.
-	GramAuto GramMode = iota
-	// GramDense always materializes the full l×l matrix; oversized
-	// problems are rejected with an error instead of attempting the
-	// allocation.
+	// GramCached, the default, never materializes the matrix: kernel
+	// columns are computed on demand and memoized in an LRU bounded by
+	// CacheBytes. The solver reads only the columns it needs (the initial
+	// mass, each working pair, the support vectors), which on mined
+	// interval batches is a fraction of the l² cells a full build pays for.
+	GramCached GramMode = iota
+	// GramDense materializes the full l×l matrix; problems past the dense
+	// budget are rejected with an error instead of attempting the
+	// allocation. It is the reference the cached path is tested against:
+	// the trained model is bit-identical either way.
 	GramDense
-	// GramCached never materializes the matrix: kernel columns are
-	// computed on demand and memoized in an LRU bounded by CacheBytes.
-	GramCached
 )
 
-// DefaultCacheBytes is the kernel column cache budget used when the cached
-// path is selected with CacheBytes zero.
+// DefaultCacheBytes is the kernel column cache budget used when CacheBytes
+// is zero.
 const DefaultCacheBytes = 256 << 20
 
-// denseGramLimit bounds the dense path's l×l allocation (bytes). Problems
-// past it route to the cached path under GramAuto and error under
-// GramDense. A variable so tests can lower it without 50k-sample inputs.
+// denseGramLimit bounds GramDense's l×l allocation (bytes); problems past
+// it error. A variable so tests can lower it without 50k-sample inputs.
 var denseGramLimit int64 = 1 << 30
 
 // Config parameterizes one-class training.
@@ -56,13 +54,12 @@ type Config struct {
 	// GOMAXPROCS, 1 forces sequential construction. The resulting model
 	// is identical either way — each cell is computed independently.
 	Parallelism int
-	// Gram selects dense, cached, or automatic kernel-matrix access.
+	// Gram selects cached (default) or dense kernel-matrix access.
 	// Training is bit-identical across modes and cache sizes: the cache
 	// memoizes the very float64 evaluations the dense build stores.
 	Gram GramMode
 	// CacheBytes bounds the cached path's column LRU (0 selects
-	// DefaultCacheBytes). Setting it under GramAuto opts into the cached
-	// path. At least two columns are always kept resident.
+	// DefaultCacheBytes). At least two columns are always kept resident.
 	CacheBytes int64
 	// Shrinking enables the libsvm-style shrinking heuristic: bound
 	// samples that stopped violating the KKT conditions are periodically
@@ -102,17 +99,13 @@ func denseGramOversized(l int) bool {
 
 // useCache decides the Gram access path for an l-sample problem.
 func (cfg Config) useCache(l int) (bool, error) {
-	switch cfg.Gram {
-	case GramCached:
+	if cfg.Gram != GramDense {
 		return true, nil
-	case GramDense:
-		if denseGramOversized(l) {
-			return false, fmt.Errorf("svm: gram matrix (l=%d) exceeds the %d MiB dense budget; use GramCached (or GramAuto) with a CacheBytes bound", l, denseGramLimit>>20)
-		}
-		return false, nil
-	default:
-		return cfg.CacheBytes > 0 || denseGramOversized(l), nil
 	}
+	if denseGramOversized(l) {
+		return false, fmt.Errorf("svm: gram matrix (l=%d) exceeds the %d MiB dense budget; use GramCached with a CacheBytes bound", l, denseGramLimit>>20)
+	}
+	return false, nil
 }
 
 // Model is a trained one-class SVM.
