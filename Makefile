@@ -37,11 +37,11 @@ bench-svm:
 bench-online:
 	$(GO) test -run xxx -bench 'BenchmarkOnlineMine|BenchmarkOnlineIngest' -benchmem -timeout 60m ./internal/core/
 
-# The speculative-emulation benchmarks behind BENCH_PR8.json: record phase
-# of the multihop chain, sequential vs conservative vs speculative sections
-# across worker counts, with rollback rates.
+# The parallel-emulation benchmark behind BENCH_PR6.json: record phase of
+# the multihop chain, sequential vs conservative parallel sections across
+# worker counts.
 bench-spec:
-	$(GO) test -run xxx -bench 'BenchmarkRecordParallelNodes|BenchmarkRecordSpeculativeNodes' -benchmem -timeout 30m ./internal/synth/
+	$(GO) test -run xxx -bench 'BenchmarkRecordParallelNodes' -benchmem -timeout 30m ./internal/synth/
 
 # Every benchmark, including the paper-evaluation harness (slow).
 bench-all:

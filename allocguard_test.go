@@ -255,56 +255,6 @@ func TestOnlineRefitAllocBudget(t *testing.T) {
 	}
 }
 
-// Speculative-emulation allocation thresholds: one 2-second, 12-node
-// multihop record phase under optimistic sections with deep (512-quantum)
-// windows. Snapshot buffers, segment lists, and the recorder's speculation
-// buffers are pooled per sim and reused across sections, so the whole run
-// measures ~6,600 allocs/op and ~1.5 MB/op — below the conservative
-// engine's own profile at the same worker count (BENCH_PR8.json). The
-// ceilings carry ~45% headroom for runner variance.
-const (
-	maxSpeculationAllocs = 10_000
-	maxSpeculationBytes  = 2_400_000
-)
-
-// TestSpeculationAllocBudget guards the speculative engine's allocation
-// profile: snapshots and staged-trace buffers must keep recycling through
-// the per-sim pools, not allocate per section or (worse) per rollback.
-func TestSpeculationAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation guard skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation inflates allocation counts; CI guards allocations in a non-race step")
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r, err := synth.Multihop(synth.MultihopConfig{
-				Nodes: 12, Seconds: 2, Seed: 1, NodeWorkers: 4,
-				Speculate: true, SpecDepth: 512,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if r.Stats.SpecSections == 0 {
-				b.Fatal("speculation did not engage; the guard is not measuring the optimistic path")
-			}
-			r.Release()
-		}
-	})
-	allocs := res.AllocsPerOp()
-	bytes := res.AllocedBytesPerOp()
-	t.Logf("speculative multihop record (12 nodes, 2 s, depth 512): %d allocs/op, %d B/op over %d op(s)",
-		allocs, bytes, res.N)
-	if allocs > maxSpeculationAllocs {
-		t.Errorf("allocs/op regressed: %d > %d (threshold; see BENCH_PR8.json)", allocs, maxSpeculationAllocs)
-	}
-	if bytes > maxSpeculationBytes {
-		t.Errorf("B/op regressed: %d > %d (threshold; see BENCH_PR8.json)", bytes, maxSpeculationBytes)
-	}
-}
-
 // TestCachedTrainingAllocBudget guards the on-demand kernel cache's
 // allocation profile: training at a fixed budget must stay bounded by the
 // budget, not creep back toward materializing the l×l Gram.

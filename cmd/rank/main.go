@@ -62,14 +62,7 @@ func main() {
 	flag.StringVar(&opt.benchBaseline, "bench-baseline", "", "with -bench: compare the report against this JSON baseline and exit nonzero on any difference")
 	flag.StringVar(&opt.benchUpdate, "bench-update", "", "with -bench: write the report to this JSON baseline file")
 	flag.Parse()
-	if opt.bench {
-		if err := runBench(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "rank:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if opt.irq == 0 || flag.NArg() == 0 {
+	if !opt.bench && (opt.irq == 0 || flag.NArg() == 0) {
 		fmt.Fprintln(os.Stderr, "rank: usage: rank -irq N [-nodes 1,2] trace [trace...]")
 		os.Exit(2)
 	}
@@ -78,7 +71,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rank:", err)
 		os.Exit(1)
 	}
-	err = run(opt, flag.Args())
+	if opt.bench {
+		err = runBench(opt)
+	} else {
+		err = run(opt, flag.Args())
+	}
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rank:", err)

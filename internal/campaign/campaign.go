@@ -45,14 +45,6 @@ type Config struct {
 	// run pool. Traces, and therefore rankings, are identical at any
 	// setting.
 	NodeWorkers int
-	// Speculate and SpecDepth select speculative emulation for each run
-	// (sim.Config.Speculate / SpecDepth): optimistic sections with
-	// snapshot/rollback on top of the conservative parallel engine.
-	// RunFunc builders pass them into their scenario configs alongside
-	// NodeWorkers. Traces, and therefore rankings, are identical at any
-	// setting.
-	Speculate bool
-	SpecDepth int
 	// SVMCacheBytes bounds the default detector's kernel column cache
 	// (0 selects svm.DefaultCacheBytes); see core.Config.SVMCacheBytes.
 	// Rankings are bit-identical at any budget. Ignored when Detector is
@@ -171,9 +163,6 @@ func Mine(cfg Config, runs []RunFunc) (*core.Ranking, error) {
 		Labels:        cfg.Labels,
 		SVMCacheBytes: cfg.SVMCacheBytes,
 		SVMShrinking:  cfg.SVMShrinking,
-		NodeWorkers:   cfg.NodeWorkers,
-		Speculate:     cfg.Speculate,
-		SpecDepth:     cfg.SpecDepth,
 	})
 }
 
@@ -228,9 +217,6 @@ func mineOnline(cfg Config, runs []RunFunc, workers int, pool *lifecycle.Scratch
 			Labels:        cfg.Labels,
 			SVMCacheBytes: cfg.SVMCacheBytes,
 			SVMShrinking:  cfg.SVMShrinking,
-			NodeWorkers:   cfg.NodeWorkers,
-			Speculate:     cfg.Speculate,
-			SpecDepth:     cfg.SpecDepth,
 		},
 		IRQs:         cfg.Online.IRQs,
 		RefitEvery:   cfg.Online.RefitEvery,

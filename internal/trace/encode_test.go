@@ -89,3 +89,19 @@ func TestLoadFileReportsOpenError(t *testing.T) {
 		t.Fatal("load of a nonexistent file succeeded")
 	}
 }
+
+// TestReadJSONRejectsOversizedProgram pins the bound on a node's declared
+// program length. Mining sizes per-dimension arrays by ProgramLen, so a
+// tiny file declaring billions of instructions must fail at load time with
+// an error, not pass validation and exhaust memory in the feature stage.
+func TestReadJSONRejectsOversizedProgram(t *testing.T) {
+	const in = `{"Seed": 1, "Cycles": 10, "Nodes": [{"NodeID": 1, "ProgramLen": 4000000000,
+		"Markers": [{"Kind": 3, "Arg": 1, "Cycle": 5, "Deltas": [{"PC": 0, "Count": 1}]}]}]}`
+	_, err := ReadJSON(strings.NewReader(in))
+	if err == nil {
+		t.Fatal("ReadJSON accepted a trace declaring a 4e9-instruction program")
+	}
+	if !strings.Contains(err.Error(), "program length") {
+		t.Fatalf("want a program-length error, got: %v", err)
+	}
+}

@@ -131,12 +131,28 @@ func (t *Trace) Node(id int) *NodeTrace {
 	return nil
 }
 
-// Validate performs structural checks: non-decreasing cycles, known kinds,
-// PCs within the program, and ground-truth length agreement.
+// maxProgramLen bounds a node's declared program length. Marker PCs are
+// uint16, so no recorded trace addresses more instructions, and mining
+// sizes per-dimension arrays by ProgramLen: an unbounded value read from
+// an untrusted file would exhaust memory instead of failing cleanly.
+const maxProgramLen = 1 << 16
+
+// Validate performs structural checks: unique node IDs, program lengths a
+// uint16 PC can address, non-decreasing cycles, known kinds, PCs within the
+// program, and ground-truth length agreement.
 func (t *Trace) Validate() error {
+	seen := make(map[int]bool, len(t.Nodes))
 	for _, n := range t.Nodes {
 		if n == nil {
 			return fmt.Errorf("trace: nil node trace")
+		}
+		if seen[n.NodeID] {
+			return fmt.Errorf("trace: duplicate node %d", n.NodeID)
+		}
+		seen[n.NodeID] = true
+		if n.ProgramLen < 0 || n.ProgramLen > maxProgramLen {
+			return fmt.Errorf("trace: node %d: program length %d outside 0..%d",
+				n.NodeID, n.ProgramLen, maxProgramLen)
 		}
 		if n.TruthInstance != nil && len(n.TruthInstance) != len(n.Markers) {
 			return fmt.Errorf("trace: node %d: %d truth entries for %d markers",
@@ -338,11 +354,6 @@ type Recorder struct {
 	// keeps its dense counter cycle (and feeds the sink) but the trace
 	// stays empty — the memory-light mode of the streaming pipeline.
 	discard bool
-	// spec defers sink delivery into the spec buffers; see speculate.go.
-	spec       bool
-	specMarks  []specMark
-	specPCs    []uint16
-	specCounts []uint32
 }
 
 // NewRecorder creates a recorder for a node executing a program of
@@ -431,11 +442,7 @@ func (r *Recorder) Mark(kind Kind, arg int, cycle uint64, instance int) {
 		if !r.truth {
 			inst = -1
 		}
-		if r.spec {
-			r.bufferMark(kind, arg, cycle, inst)
-		} else {
-			r.sink.OnMark(kind, arg, cycle, inst, r.d.Touched, r.d.Counts)
-		}
+		r.sink.OnMark(kind, arg, cycle, inst, r.d.Touched, r.d.Counts)
 	}
 	if r.discard {
 		for _, pc := range r.d.Touched {

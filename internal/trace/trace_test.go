@@ -47,6 +47,9 @@ func TestValidateRejections(t *testing.T) {
 		{"pc outside", func(tr *Trace) { tr.Nodes[0].Markers[0].Deltas[0].PC = 200 }, "outside program"},
 		{"zero-count delta", func(tr *Trace) { tr.Nodes[0].Markers[0].Deltas[0].Count = 0 }, "zero-count"},
 		{"truth length", func(tr *Trace) { tr.Nodes[0].TruthInstance = []int{1} }, "truth entries"},
+		{"duplicate node", func(tr *Trace) { tr.Nodes[1].NodeID = tr.Nodes[0].NodeID }, "duplicate node"},
+		{"program too long", func(tr *Trace) { tr.Nodes[0].ProgramLen = 1<<16 + 1 }, "program length"},
+		{"negative program length", func(tr *Trace) { tr.Nodes[1].ProgramLen = -1 }, "program length"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
