@@ -24,7 +24,8 @@ bench:
 
 # The mining-at-scale benchmarks behind BENCH_PR4.json: blocked sparse
 # kernels, training across Gram modes, and the l=10k campaign problem
-# (dense vs cached vs cached+shrink; several minutes on one core).
+# (dense Gram vs the column cache at 25% and 5% of its footprint; several
+# minutes on one core).
 bench-svm:
 	$(GO) test -run xxx -bench 'BenchmarkSparseOps' -benchmem ./internal/stats/
 	$(GO) test -run xxx -bench 'BenchmarkTrain|BenchmarkKernelEval' -benchmem -timeout 60m ./internal/svm/

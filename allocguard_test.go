@@ -327,3 +327,53 @@ func TestCounterSparseAllocBudget(t *testing.T) {
 		t.Errorf("allocs/call regressed: %.2f > 2 (the Idx and Val output slices)", perCall)
 	}
 }
+
+// Duplicate-heavy refit thresholds: 20,000 counters over 5 code paths × 4
+// loop counts (at most 20 distinct vectors), refit warm at eight growing
+// prefixes. The solver keeps its gradient and kernel columns per distinct
+// vector, so what a refit allocates scales with l only through α, the
+// training decisions and the support-vector list: ~4.9 MB/op, against
+// ~21.6 MB/op when columns and gradients were l-length (and columns were
+// re-extended at every growth). The ceiling carries ~40% headroom.
+const (
+	dupRefitSamples  = 20_000
+	dupRefitSteps    = 8
+	maxDupRefitBytes = 7_000_000
+)
+
+// TestDuplicateRefitAllocBudget guards the grouped solver's memory shape on
+// the campaign regime: many samples, few distinct counters.
+func TestDuplicateRefitAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts; CI guards allocations in a non-race step")
+	}
+	samples := synth.LargeCampaign(synth.LargeCampaignConfig{
+		Seed: 11, Samples: dupRefitSamples, Dim: 512, Paths: 5, AnomalyRate: -1,
+	})
+	var groups int
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			inc := svm.NewIncremental(svm.Config{Nu: 0.05})
+			for step := 1; step <= dupRefitSteps; step++ {
+				m, err := inc.Refit(samples[:step*dupRefitSamples/dupRefitSteps], true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				groups = m.Groups
+			}
+		}
+	})
+	if groups < 2 || groups > 20 {
+		t.Fatalf("final refit ran over %d groups, want the duplicate-heavy regime (2..20)", groups)
+	}
+	bytes := res.AllocedBytesPerOp()
+	t.Logf("duplicate-heavy refits (l=%d over %d groups, %d refits/op): %d allocs/op, %d B/op over %d op(s)",
+		dupRefitSamples, groups, dupRefitSteps, res.AllocsPerOp(), bytes, res.N)
+	if bytes > maxDupRefitBytes {
+		t.Errorf("B/op regressed: %d > %d (threshold)", bytes, maxDupRefitBytes)
+	}
+}

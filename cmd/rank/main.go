@@ -27,7 +27,6 @@ type options struct {
 	bottom        int
 	parallelism   int
 	svmCacheMB    int
-	svmShrink     bool
 	onlineRefit   int
 	onlineTopK    int
 	onlineIRQsCSV string
@@ -50,7 +49,6 @@ func main() {
 	flag.IntVar(&opt.bottom, "bottom", 2, "rows to print from the bottom")
 	flag.IntVar(&opt.parallelism, "parallelism", 0, "worker pool for anatomize/feature and the SVM kernel-column fills (0 = GOMAXPROCS, 1 = sequential); the ranking is identical at any setting")
 	flag.IntVar(&opt.svmCacheMB, "svm-cache-mb", 0, "budget in MiB of the on-demand kernel column cache the SVM trains through (0 = the 256 MiB default); the ranking is bit-identical at any budget")
-	flag.BoolVar(&opt.svmShrink, "svm-shrink", false, "enable the SMO shrinking heuristic for large campaigns (same ranking up to the solver tolerance, not bitwise)")
 	flag.IntVar(&opt.onlineRefit, "online-refit", 0, "rank as you go: refit the SVM warm every N ingested batches and print each intermediate top-K; the final ranking is bit-identical to the one-shot path (svm detector only)")
 	flag.IntVar(&opt.onlineTopK, "online-topk", 10, "intermediate rankings keep the K most suspicious intervals (with -online-refit)")
 	flag.StringVar(&opt.onlineIRQsCSV, "online-irqs", "", "comma-separated additional event types mined alongside -irq, one incremental solver each over the shared stream (with -online-refit); every refit prints one top-K per type")
@@ -102,7 +100,6 @@ func run(opt options, paths []string) error {
 			Nu:          opt.nu,
 			Parallelism: opt.parallelism,
 			CacheBytes:  cacheBytes,
-			Shrinking:   opt.svmShrink,
 		}
 	case "pca":
 		det = sentomist.PCADetector(0)
@@ -174,7 +171,6 @@ func runOnline(opt options, inputs []sentomist.RunInput, nodeIDs []int, labels s
 		Labels:        labels,
 		Parallelism:   opt.parallelism,
 		SVMCacheBytes: int64(opt.svmCacheMB) << 20,
-		SVMShrinking:  opt.svmShrink,
 	}
 	batches, err := sentomist.ExtractBatchesFor(inputs, cfg, append([]int{opt.irq}, extraIRQs...)...)
 	if err != nil {
@@ -243,8 +239,8 @@ func printOnlineRanking(r *sentomist.OnlineRanking) {
 	if r.Delta {
 		replay = "delta"
 	}
-	fmt.Printf("refit %d irq %d (%s, %s replay): %d batches, %d intervals, %d iters; decoded %d blocks (%d samples), skipped %d; spill %d blocks",
-		r.Refit, r.IRQ, mode, replay, r.Batches, r.Total, r.Iters,
+	fmt.Printf("refit %d irq %d (%s, %s replay): %d batches, %d intervals (%d distinct), %d iters; decoded %d blocks (%d samples), skipped %d; spill %d blocks",
+		r.Refit, r.IRQ, mode, replay, r.Batches, r.Total, r.Groups, r.Iters,
 		r.BlocksDecoded, r.SamplesReplayed, r.BlocksSkipped, r.SpilledBlocks)
 	if r.SpilledBytes > 0 {
 		fmt.Printf(" / %d bytes", r.SpilledBytes)

@@ -39,7 +39,6 @@ func main() {
 		stream      = flag.Bool("stream", false, "also cross-check the online anatomizer against the two-pass reference on every node")
 		mineIRQ     = flag.Int("mine-irq", 0, "also mine every run's intervals of this event type and cross-check the cached-kernel SVM ranking against the dense path bitwise (0 = off)")
 		svmCacheMB  = flag.Int("svm-cache-mb", 1, "kernel column cache budget (MiB) for the cached side of the -mine-irq cross-check")
-		svmShrink   = flag.Bool("svm-shrink", false, "additionally exercise the shrinking heuristic on every -mine-irq problem (checked against the dense ranking to the solver tolerance)")
 		onlineCheck = flag.Bool("online-check", false, "additionally run every -mine-irq problem through the online miner (refit every batch, warm starts, on-disk spill, delta replay, a second event type, and a compacted pass) and require every finalized ranking to be bit-identical to one-shot MineBatches")
 		nodeWorkers = flag.Int("node-workers", 0, "emulator-side parallelism per scenario (sim.Config.ParallelNodes); traces are byte-identical at any setting (<= 1 = sequential)")
 		parCheck    = flag.Bool("par-check", false, "record every scenario twice — sequentially and with parallel node sections — and require the serialized traces to be byte-identical (uses -node-workers, or 4 when unset)")
@@ -50,7 +49,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "soak:", err)
 		os.Exit(1)
 	}
-	err = run(*runs, *seed, *nodes, *seconds, *stream, *mineIRQ, *svmCacheMB, *svmShrink, *onlineCheck, *nodeWorkers, *parCheck)
+	err = run(*runs, *seed, *nodes, *seconds, *stream, *mineIRQ, *svmCacheMB, *onlineCheck, *nodeWorkers, *parCheck)
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "soak:", err)
@@ -58,12 +57,12 @@ func main() {
 	}
 }
 
-func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ, svmCacheMB int, svmShrink, onlineCheck bool, nodeWorkers int, parCheck bool) error {
+func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ, svmCacheMB int, onlineCheck bool, nodeWorkers int, parCheck bool) error {
 	if onlineCheck && mineIRQ == 0 {
 		return fmt.Errorf("-online-check needs -mine-irq to select the event type")
 	}
 	totalIntervals, totalMarkers, totalStreamed, totalMined := 0, 0, 0, 0
-	totalOnline, totalRefits := 0, 0
+	var online onlineTotals
 	pool := &lifecycle.ScratchPool{}
 	checkWorkers := nodeWorkers
 	if parCheck && checkWorkers <= 1 {
@@ -115,18 +114,15 @@ func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ
 			}
 		}
 		if mineIRQ != 0 {
-			n, err := verifyMine(r.Trace, mineIRQ, int64(svmCacheMB)<<20, svmShrink)
+			n, err := verifyMine(r.Trace, mineIRQ, int64(svmCacheMB)<<20)
 			if err != nil {
 				return fmt.Errorf("seed %d: %w", s, err)
 			}
 			totalMined += n
 			if onlineCheck {
-				n, refits, err := verifyOnline(r.Trace, mineIRQ)
-				if err != nil {
+				if err := verifyOnline(r.Trace, mineIRQ, &online); err != nil {
 					return fmt.Errorf("seed %d: %w", s, err)
 				}
-				totalOnline += n
-				totalRefits += refits
 			}
 		}
 		if (i+1)%25 == 0 {
@@ -145,7 +141,9 @@ func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ
 	}
 	if onlineCheck {
 		fmt.Printf("online cross-check: %d intervals through %d warm refits (spilled, delta replay verified by counters, two event types, plus a compacted pass), finalized rankings bit-identical to one-shot\n",
-			totalOnline, totalRefits)
+			online.intervals, online.refits)
+		fmt.Printf("online refits: SMO ran over %d distinct counter vectors for %d scored intervals (summed over refits)\n",
+			online.groups, online.scored)
 	}
 	if parCheck {
 		fmt.Printf("parallel cross-check: every serialized trace byte-identical at %d node workers\n",
@@ -226,19 +224,13 @@ func (d denseGramSVM) ScoreSparse(samples []stats.Sparse) ([]float64, error) {
 
 // verifyMine ranks one run's intervals through the dense-Gram SVM and
 // through the bounded kernel column cache, requiring bit-identical
-// rankings (same order, same scores); with shrink it additionally trains
-// the shrinking variant, which must reproduce the ranking to the solver's
-// tolerance. Runs without intervals of the event type are skipped.
-func verifyMine(t *trace.Trace, irq int, cacheBytes int64, shrink bool) (int, error) {
+// rankings (same order, same scores). Runs without intervals of the event
+// type are skipped.
+func verifyMine(t *trace.Trace, irq int, cacheBytes int64) (int, error) {
 	// Every synth node runs its own generated program, so counters from
 	// different nodes have different dimensionalities; mine node 0 (it
 	// exists in every scenario).
 	cfg := core.Config{IRQ: irq, Nodes: []int{0}}
-	mine := func(cache int64, shrinking bool) (*core.Ranking, error) {
-		c := cfg
-		c.SVMCacheBytes, c.SVMShrinking = cache, shrinking
-		return core.Mine([]core.RunInput{{Trace: t}}, c)
-	}
 	ref := cfg
 	ref.Detector = denseGramSVM{}
 	dense, err := core.Mine([]core.RunInput{{Trace: t}}, ref)
@@ -248,7 +240,8 @@ func verifyMine(t *trace.Trace, irq int, cacheBytes int64, shrink bool) (int, er
 	if err != nil {
 		return 0, err
 	}
-	cached, err := mine(cacheBytes, false)
+	cfg.SVMCacheBytes = cacheBytes
+	cached, err := core.Mine([]core.RunInput{{Trace: t}}, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -261,21 +254,13 @@ func verifyMine(t *trace.Trace, irq int, cacheBytes int64, shrink bool) (int, er
 				i+1, cached.Samples[i], dense.Samples[i])
 		}
 	}
-	if shrink {
-		shrunk, err := mine(cacheBytes, true)
-		if err != nil {
-			return 0, err
-		}
-		const tol = 1e-3
-		for i := range dense.Samples {
-			d := shrunk.Samples[i].Score - dense.Samples[i].Score
-			if d < -tol || d > tol {
-				return 0, fmt.Errorf("mine: shrink rank %d score %v, dense %v",
-					i+1, shrunk.Samples[i].Score, dense.Samples[i].Score)
-			}
-		}
-	}
 	return len(dense.Samples), nil
+}
+
+// onlineTotals accumulates the -online-check counters across scenarios.
+type onlineTotals struct {
+	intervals, refits int
+	groups, scored    int // Σ OnlineRanking.Groups and .Total over refits
 }
 
 // verifyOnline streams one run's batches through the online miner — refit
@@ -287,7 +272,7 @@ func verifyMine(t *trace.Trace, irq int, cacheBytes int64, shrink bool) (int, er
 // only the blocks appended since the previous one. A second pass with
 // tiny-block compaction enabled must finalize identically. Runs without
 // intervals of any checked event type are skipped.
-func verifyOnline(t *trace.Trace, irq int) (intervals, refits int, err error) {
+func verifyOnline(t *trace.Trace, irq int, totals *onlineTotals) error {
 	alt := 1
 	if irq == 1 {
 		alt = 4 // radio-rx alongside timer0
@@ -301,28 +286,28 @@ func verifyOnline(t *trace.Trace, irq int) (intervals, refits int, err error) {
 		qcfg.IRQ = q
 		oneShot, err := core.ExtractBatches([]core.RunInput{{Trace: t}}, qcfg)
 		if err != nil {
-			return 0, 0, fmt.Errorf("online: %w", err)
+			return fmt.Errorf("online: %w", err)
 		}
 		want, err := core.MineBatches(oneShot, qcfg)
 		if errors.Is(err, core.ErrNoIntervals) {
 			continue
 		}
 		if err != nil {
-			return 0, 0, err
+			return err
 		}
 		wants[q] = want
-		intervals += len(want.Samples)
+		totals.intervals += len(want.Samples)
 	}
 	if len(wants) == 0 {
-		return 0, 0, nil
+		return nil
 	}
 	batches, err := core.ExtractBatchesFor([]core.RunInput{{Trace: t}}, cfg, irq, alt)
 	if err != nil {
-		return 0, 0, fmt.Errorf("online: %w", err)
+		return fmt.Errorf("online: %w", err)
 	}
 	spill, err := os.MkdirTemp("", "sentomist-soak-spill-")
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	defer os.RemoveAll(spill)
 
@@ -368,7 +353,9 @@ func verifyOnline(t *trace.Trace, irq int) (intervals, refits int, err error) {
 		SpillBlock:   3, // force multiple blocks
 		SpillCompact: -1,
 		OnRanking: func(r *core.OnlineRanking) {
-			refits++
+			totals.refits++
+			totals.groups += r.Groups
+			totals.scored += r.Total
 			if counterErr != nil {
 				return
 			}
@@ -389,20 +376,20 @@ func verifyOnline(t *trace.Trace, irq int) (intervals, refits int, err error) {
 		},
 	})
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	for _, b := range batches {
 		if err := miner.Add(b); err != nil {
 			miner.Close()
-			return 0, 0, fmt.Errorf("online: %w", err)
+			return fmt.Errorf("online: %w", err)
 		}
 	}
 	if counterErr != nil {
 		miner.Close()
-		return 0, 0, counterErr
+		return counterErr
 	}
 	if err := finalize(miner, "delta"); err != nil {
-		return 0, 0, err
+		return err
 	}
 
 	// Pass 2: aggressive tiny-block compaction; results must not change.
@@ -416,18 +403,18 @@ func verifyOnline(t *trace.Trace, irq int) (intervals, refits int, err error) {
 		SpillCompact: 2,
 	})
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	for _, b := range batches {
 		if err := miner.Add(b); err != nil {
 			miner.Close()
-			return 0, 0, fmt.Errorf("online compacted: %w", err)
+			return fmt.Errorf("online compacted: %w", err)
 		}
 	}
 	if err := finalize(miner, "compacted"); err != nil {
-		return 0, 0, err
+		return err
 	}
-	return intervals, refits, nil
+	return nil
 }
 
 // verifyStream replays the node's markers through the online anatomizer and

@@ -50,9 +50,6 @@ type Config struct {
 	// Rankings are bit-identical at any budget. Ignored when Detector is
 	// set explicitly.
 	SVMCacheBytes int64
-	// SVMShrinking enables the default detector's shrinking heuristic;
-	// see core.Config.SVMShrinking. Ignored when Detector is set.
-	SVMShrinking bool
 	// Online, when set, switches Mine to the streaming path: finished
 	// runs are fed to a core.OnlineMiner as they complete (strictly in
 	// run order, whatever order the workers finish in), intermediate
@@ -162,7 +159,6 @@ func Mine(cfg Config, runs []RunFunc) (*core.Ranking, error) {
 		Detector:      cfg.Detector,
 		Labels:        cfg.Labels,
 		SVMCacheBytes: cfg.SVMCacheBytes,
-		SVMShrinking:  cfg.SVMShrinking,
 	})
 }
 
@@ -216,7 +212,6 @@ func mineOnline(cfg Config, runs []RunFunc, workers int, pool *lifecycle.Scratch
 			Nodes:         cfg.Nodes,
 			Labels:        cfg.Labels,
 			SVMCacheBytes: cfg.SVMCacheBytes,
-			SVMShrinking:  cfg.SVMShrinking,
 		},
 		IRQs:         cfg.Online.IRQs,
 		RefitEvery:   cfg.Online.RefitEvery,

@@ -81,17 +81,12 @@ type Config struct {
 	// svm.DefaultCacheBytes). Rankings are bit-identical at any budget.
 	// Ignored when Detector is set explicitly.
 	SVMCacheBytes int64
-	// SVMShrinking enables the SMO shrinking heuristic on the default
-	// detector for large campaigns; the ranking is stable to the solver
-	// tolerance but not bitwise-reproducible against the plain path.
-	// Ignored when Detector is set explicitly.
-	SVMShrinking bool
 }
 
 // defaultDetector builds the detector used when cfg.Detector is nil: the
 // paper's one-class SVM, carrying the config's training knobs.
 func (cfg Config) defaultDetector() outlier.Detector {
-	return outlier.OneClassSVM{CacheBytes: cfg.SVMCacheBytes, Shrinking: cfg.SVMShrinking}
+	return outlier.OneClassSVM{CacheBytes: cfg.SVMCacheBytes}
 }
 
 // Sample is one scored event-handling interval.

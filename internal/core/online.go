@@ -85,10 +85,13 @@ type OnlineRanking struct {
 	Samples []Sample
 	// Warm reports whether the refit started from the previous optimum;
 	// Rebuilt whether the kernel cache had to be discarded because the
-	// effective feature scale moved. Iters/CacheHits/CacheMisses are the
-	// refit's solver diagnostics.
+	// effective feature scale moved. Iters/Groups/CacheHits/CacheMisses
+	// are the refit's solver diagnostics; Groups is the number of distinct
+	// counter vectors among the Total scored intervals, the size SMO
+	// actually runs over.
 	Warm, Rebuilt bool
 	Iters         int
+	Groups        int
 	CacheHits     int64
 	CacheMisses   int64
 	// Delta reports whether this refit replayed only the blocks appended
@@ -561,7 +564,6 @@ func NewOnlineMiner(cfg OnlineConfig) (*OnlineMiner, error) {
 			inc: svm.NewIncremental(svm.Config{
 				Nu:         0.05, // adjusted per refit for the ν ≥ 1/l clamp
 				CacheBytes: cfg.SVMCacheBytes,
-				Shrinking:  cfg.SVMShrinking,
 				Parallelism: func() int {
 					if cfg.Parallelism > 0 {
 						return cfg.Parallelism
@@ -881,6 +883,7 @@ func (m *OnlineMiner) refitState(st *irqState) (*OnlineRanking, error) {
 		Warm:        warm,
 		Rebuilt:     st.inc.Rebuilds > rebuildsBefore,
 		Iters:       model.Iters,
+		Groups:      model.Groups,
 		CacheHits:   model.CacheHits,
 		CacheMisses: model.CacheMisses,
 	}, nil

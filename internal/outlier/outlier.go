@@ -98,11 +98,6 @@ type OneClassSVM struct {
 	// through (0 selects svm.DefaultCacheBytes); the l×l Gram matrix is
 	// never materialized. Scores are bit-identical at any budget.
 	CacheBytes int64
-	// Shrinking enables the SMO shrinking heuristic for large batches.
-	// The optimum meets the same ε tolerance but is not bitwise equal to
-	// the plain path, so leave it off where exact reproducibility across
-	// configurations matters.
-	Shrinking bool
 }
 
 // Name implements Detector.
@@ -122,7 +117,6 @@ func (d OneClassSVM) config(l int) svm.Config {
 		Kernel:      d.Kernel,
 		Parallelism: d.Parallelism,
 		CacheBytes:  d.CacheBytes,
-		Shrinking:   d.Shrinking,
 	}
 }
 

@@ -21,9 +21,9 @@ func largeCampaignSize(short bool) (l, dim int) {
 // BenchmarkTrainLargeCampaign measures one-class training at campaign
 // scale over distinct counters (duplicate collapsing disabled, so the
 // kernel matrix truly is l×l): the materialized dense Gram baseline
-// against the on-demand column cache at 25% and 5% of the dense footprint,
-// and the cache with the shrinking heuristic. The cached variants train to
-// the bit-identical model; B/op shows the footprint gap.
+// against the on-demand column cache at 25% and 5% of the dense footprint.
+// The cached variants train to the bit-identical model; B/op shows the
+// footprint gap.
 func BenchmarkTrainLargeCampaign(b *testing.B) {
 	l, dim := largeCampaignSize(testing.Short())
 	samples := synth.LargeCampaign(synth.LargeCampaignConfig{
@@ -37,7 +37,6 @@ func BenchmarkTrainLargeCampaign(b *testing.B) {
 		{"dense", svm.Config{Nu: 0.05, Gram: svm.GramDense}},
 		{"cached_25pct", svm.Config{Nu: 0.05, Gram: svm.GramCached, CacheBytes: gramBytes / 4}},
 		{"cached_5pct", svm.Config{Nu: 0.05, Gram: svm.GramCached, CacheBytes: gramBytes / 20}},
-		{"cached_shrink_25pct", svm.Config{Nu: 0.05, Gram: svm.GramCached, CacheBytes: gramBytes / 4, Shrinking: true}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -8,54 +8,98 @@ import (
 	"sentomist/internal/stats"
 )
 
-// The SMO solver reads the Gram matrix exclusively through full columns:
-// gradient initialization walks the columns carrying initial mass, each
-// update step needs the two working-set columns, and Gram-reuse scoring
+// groups partitions a problem's samples into duplicate groups: samples
+// whose Q rows are bitwise equal because their vectors are. Event-handling
+// intervals overwhelmingly repeat the same code path, so an l-sample batch
+// typically holds only a handful of groups. The solver keeps one gradient
+// and one training decision per group and reads Q through group-indexed
+// columns (see gramProvider); only α stays per sample.
+//
+// Members of a group are linked in ascending sample order, so the solver can
+// walk from one member to the next without per-group slices, and growing a
+// problem appends to the lists instead of rebuilding them.
+type groups struct {
+	of         []int // sample -> group
+	next       []int // sample -> next member of its group, -1 after the last
+	head, tail []int // group -> first (the representative) / last member
+}
+
+// add appends one sample to group g; g == count() opens a new group.
+func (gr *groups) add(g int) {
+	k := len(gr.of)
+	gr.of = append(gr.of, g)
+	gr.next = append(gr.next, -1)
+	if g == len(gr.head) {
+		gr.head = append(gr.head, k)
+		gr.tail = append(gr.tail, k)
+		return
+	}
+	gr.next[gr.tail[g]] = k
+	gr.tail[g] = k
+}
+
+func (gr *groups) count() int { return len(gr.head) }
+
+// singletons puts each of l samples in its own group: the dense-sample
+// path, which does not deduplicate.
+func singletons(l int) *groups {
+	gr := &groups{of: make([]int, l), next: make([]int, l), head: make([]int, l)}
+	for k := range gr.of {
+		gr.of[k], gr.next[k], gr.head[k] = k, -1, k
+	}
+	gr.tail = gr.head
+	return gr
+}
+
+// The SMO solver reads the Gram matrix exclusively through full group
+// columns: gradient initialization walks the columns carrying initial mass,
+// each update step needs the two working-set columns, and Gram-reuse scoring
 // walks the support-vector columns. gramProvider is that access path. The
 // dense path materializes every column upfront; the cached path memoizes
 // columns in an LRU bounded by Config.CacheBytes and computes misses on
 // demand. Both hand the solver the very same float64 cell values, so the
 // trained model is bit-identical regardless of provider or cache size.
 type gramProvider interface {
-	// col returns column j of Q, length l: col(j)[k] == Q[k][j]. The
-	// returned slice is read-only and guaranteed valid until the second
-	// following col call (the cache never evicts its two most recently
-	// returned columns), which is exactly the pinning the solver needs.
+	// col returns the column of sample j's group, indexed by group:
+	// col(j)[b] == Q[k][j] for every sample k in group b. The returned
+	// slice is read-only and guaranteed valid until the second following
+	// col call (the cache never evicts its two most recently returned
+	// columns), which is exactly the pinning the solver needs.
 	col(j int) []float64
+	groups() *groups
 }
 
-// denseMatrix adapts a fully materialized symmetric Gram matrix: the
-// stored rows mirror the upper/lower triangle, so row j IS column j.
-type denseMatrix [][]float64
+// denseMatrix adapts a fully materialized symmetric group-by-group Gram
+// block: the stored rows mirror the upper/lower triangle, so row b IS
+// column b.
+type denseMatrix struct {
+	q   [][]float64
+	grp *groups
+}
 
-func (q denseMatrix) col(j int) []float64 { return q[j] }
+func (m denseMatrix) col(j int) []float64 { return m.q[m.grp.of[j]] }
+func (m denseMatrix) groups() *groups     { return m.grp }
 
-// columnSource computes kernel columns from scratch — the miss path
-// behind colCache. Implementations must write Q[k][j] into dst[k] with the
-// same evaluation-argument orientation buildGram uses (larger sample index
-// first), so a cached cell is the identical float64 the dense build
-// produces.
+// columnSource computes group columns from scratch — the miss path behind
+// colCache. Implementations must write Q[b][g] into dst[b] with the same
+// evaluation-argument orientation buildGram uses (larger index first), so a
+// cached cell is the identical float64 the dense build produces.
 type columnSource interface {
-	length() int
-	// distinct returns how many distinct columns exist (< length when
-	// identical samples collapse to a shared representative).
-	distinct() int
-	// remapped translates a sample index to its column key.
-	remapped(j int) int
-	// fill writes column key j into dst (length length()).
-	fill(j int, dst []float64)
+	groups() *groups
+	// fill writes group g's column into dst (length groups().count()).
+	fill(g int, dst []float64)
 }
 
-// denseColSource evaluates columns over dense samples.
+// denseColSource evaluates columns over dense samples, one group per
+// sample.
 type denseColSource struct {
 	samples [][]float64
 	kernel  Kernel
 	workers int
+	grp     *groups
 }
 
-func (s *denseColSource) length() int        { return len(s.samples) }
-func (s *denseColSource) distinct() int      { return len(s.samples) }
-func (s *denseColSource) remapped(j int) int { return j }
+func (s *denseColSource) groups() *groups { return s.grp }
 
 func (s *denseColSource) fill(j int, dst []float64) {
 	sj := s.samples[j]
@@ -72,23 +116,21 @@ func (s *denseColSource) fill(j int, dst []float64) {
 	})
 }
 
-// sparseColSource evaluates columns over sparse samples with the same
-// duplicate collapsing gramSparse applies: one kernel evaluation per
-// distinct-vector group, broadcast across the group's samples. Columns are
-// keyed by group, so identical samples share a single cached column.
+// sparseColSource evaluates columns over sparse samples with duplicate
+// collapsing: one kernel evaluation per pair of group representatives.
+// Kernel values depend solely on vector contents, so a group column holds
+// exactly the values a pairwise build would produce for every member.
 //
 // The source is growable: extendTo appends newly arrived samples to the
 // dedup state without disturbing existing group assignments, which is what
 // lets an online refit keep kernel columns cached across solves (see
-// Incremental) — old samples keep their keys, new samples join existing
+// Incremental) — old samples keep their groups, new samples join existing
 // groups or open new ones.
 type sparseColSource struct {
 	samples []stats.Sparse
 	kernel  SparseKernel
-	reps    []int          // sample index of each group representative
-	group   []int          // sample index -> group
+	grp     groups
 	seen    map[string]int // dedup key -> group (persistent across extendTo)
-	vals    []float64
 	keyBuf  []byte
 	workers int
 
@@ -107,7 +149,8 @@ type sparseColSource struct {
 func newSparseColSource(samples []stats.Sparse, kernel SparseKernel, workers int) *sparseColSource {
 	s := &sparseColSource{
 		kernel:  kernel,
-		seen:    make(map[string]int, len(samples)),
+		grp:     groups{of: make([]int, 0, len(samples)), next: make([]int, 0, len(samples))},
+		seen:    make(map[string]int),
 		workers: workers,
 	}
 	s.normKernel, _ = kernel.(NormSparseKernel)
@@ -126,25 +169,21 @@ func (s *sparseColSource) enableFastEval() {
 }
 
 func (s *sparseColSource) ensureNorms() {
-	for g := len(s.norms); g < len(s.reps); g++ {
-		s.norms = append(s.norms, s.samples[s.reps[g]].SqNorm())
+	for g := len(s.norms); g < s.grp.count(); g++ {
+		s.norms = append(s.norms, s.samples[s.grp.head[g]].SqNorm())
 	}
 }
 
 // extendTo rebinds the source to the full current batch, deduplicating only
 // the tail beyond what was already absorbed. The prefix of all must be
 // bitwise identical to the previous batch (same vector contents; the
-// backing slices may differ), so existing reps/group entries — and any
-// kernel values derived from them — remain exact. It returns the previous
-// sample and group counts, which callers use to extend cached columns.
-//
-// The dedup loop is element-for-element the same key construction
-// dedupSparse performs, so a source built in one shot and one grown
-// batch-by-batch assign identical groups.
-func (s *sparseColSource) extendTo(all []stats.Sparse) (oldLen, oldReps int) {
-	oldLen, oldReps = len(s.group), len(s.reps)
+// backing slices may differ), so existing group assignments — and any
+// kernel values derived from them — remain exact. Only bit-identical
+// vectors share a group (the key is the raw index/value bytes): a missed
+// match such as ±0 merely costs an extra group, never correctness.
+func (s *sparseColSource) extendTo(all []stats.Sparse) {
 	s.samples = all
-	for i := oldLen; i < len(all); i++ {
+	for i := len(s.grp.of); i < len(all); i++ {
 		key := s.keyBuf[:0]
 		sm := all[i]
 		for k, idx := range sm.Idx {
@@ -152,25 +191,16 @@ func (s *sparseColSource) extendTo(all []stats.Sparse) (oldLen, oldReps int) {
 			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(sm.Val[k]))
 		}
 		s.keyBuf = key[:0]
-		if gi, ok := s.seen[string(key)]; ok {
-			s.group = append(s.group, gi)
-			continue
+		gi, ok := s.seen[string(key)]
+		if !ok {
+			gi = s.grp.count()
+			s.seen[string(key)] = gi
 		}
-		gi := len(s.reps)
-		s.seen[string(key)] = gi
-		s.group = append(s.group, gi)
-		s.reps = append(s.reps, i)
-	}
-	if cap(s.vals) < len(s.reps) {
-		vals := make([]float64, len(s.reps))
-		s.vals = vals
-	} else {
-		s.vals = s.vals[:len(s.reps)]
+		s.grp.add(gi)
 	}
 	if s.fast {
 		s.ensureNorms()
 	}
-	return oldLen, oldReps
 }
 
 // release drops the sample references so a caller can let a replayed batch
@@ -178,64 +208,39 @@ func (s *sparseColSource) extendTo(all []stats.Sparse) (oldLen, oldReps int) {
 // content. Dedup state, group assignments, and cached columns stay valid.
 func (s *sparseColSource) release() { s.samples = nil }
 
-func (s *sparseColSource) length() int        { return len(s.samples) }
-func (s *sparseColSource) distinct() int      { return len(s.reps) }
-func (s *sparseColSource) remapped(j int) int { return s.group[j] }
+func (s *sparseColSource) groups() *groups { return &s.grp }
 
 // evalCell computes the kernel value between group b's representative and
 // rg (group g's representative), honoring fast mode and buildGram's
 // argument orientation (larger group index first).
 func (s *sparseColSource) evalCell(b, g int, rg stats.Sparse) float64 {
+	rb := s.samples[s.grp.head[b]]
 	if s.fast {
 		if b >= g {
-			return s.normKernel.EvalSparseNorms(s.samples[s.reps[b]], rg, s.norms[b], s.norms[g])
+			return s.normKernel.EvalSparseNorms(rb, rg, s.norms[b], s.norms[g])
 		}
-		return s.normKernel.EvalSparseNorms(rg, s.samples[s.reps[b]], s.norms[g], s.norms[b])
+		return s.normKernel.EvalSparseNorms(rg, rb, s.norms[g], s.norms[b])
 	}
 	if b >= g {
-		return s.kernel.EvalSparse(s.samples[s.reps[b]], rg)
+		return s.kernel.EvalSparse(rb, rg)
 	}
-	return s.kernel.EvalSparse(rg, s.samples[s.reps[b]])
+	return s.kernel.EvalSparse(rg, rb)
 }
 
-func (s *sparseColSource) fill(g int, dst []float64) {
-	rg := s.samples[s.reps[g]]
-	parallelRanges(len(s.reps), s.workers, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			// gramSparse's representative block stores g[x][y] (x >= y) as
-			// EvalSparse(samples[reps[x]], samples[reps[y]]).
-			s.vals[b] = s.evalCell(b, g, rg)
-		}
-	})
-	for k := range dst {
-		dst[k] = s.vals[s.group[k]]
-	}
-}
+func (s *sparseColSource) fill(g int, dst []float64) { s.fillTail(g, dst, 0) }
 
-// fillTail extends a cached column in place after extendTo grew the source:
-// dst[:from] already holds the column's broadcast values over the first
-// `from` samples (and the first oldReps groups), only the tail is filled.
-// Values for old groups are recovered from the column itself — the
-// representative of an old group is an old sample, so dst[reps[g]] holds
-// that group's kernel value bit-for-bit — and only (new group, this column)
-// pairs cost kernel evaluations. The extended column is bit-identical to
-// what a from-scratch fill would produce.
-func (s *sparseColSource) fillTail(g int, dst []float64, from, oldReps int) {
-	rg := s.samples[s.reps[g]]
-	newReps := len(s.reps) - oldReps
-	parallelRanges(newReps, s.workers, func(lo, hi int) {
-		for b := oldReps + lo; b < oldReps+hi; b++ {
-			// Same orientation rule as fill: larger group index first.
-			s.vals[b] = s.evalCell(b, g, rg)
+// fillTail evaluates dst[from:], group g's cells against groups from..
+// len(dst)-1. After extendTo grew the source, a cached column keeps its old
+// cells (group values never change) and only (new group, this column) pairs
+// cost kernel evaluations; the extended column is bit-identical to a
+// from-scratch fill.
+func (s *sparseColSource) fillTail(g int, dst []float64, from int) {
+	rg := s.samples[s.grp.head[g]]
+	parallelRanges(len(dst)-from, s.workers, func(lo, hi int) {
+		for b := from + lo; b < from+hi; b++ {
+			dst[b] = s.evalCell(b, g, rg)
 		}
 	})
-	for k := from; k < len(dst); k++ {
-		if gi := s.group[k]; gi < oldReps {
-			dst[k] = dst[s.reps[gi]]
-		} else {
-			dst[k] = s.vals[gi]
-		}
-	}
 }
 
 // minParallelFill is the smallest per-column work that justifies fanning a
@@ -269,22 +274,21 @@ func parallelRanges(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// colEntry is one resident column in the LRU. filled and reps record how
-// far the column was materialized (sample count and group count at the last
-// fill): after the source grows, a resident column stays short until the
-// solver actually asks for it, and only then pays for its missing tail.
+// colEntry is one resident column in the LRU. After the source grows, a
+// resident column stays short (len(col) is the group count at its last
+// fill) until the solver actually asks for it, and only then pays for its
+// missing tail.
 type colEntry struct {
-	key          int
-	col          []float64
-	filled, reps int
-	prev, next   *colEntry
+	key        int
+	col        []float64
+	prev, next *colEntry
 }
 
-// colCache is the libsvm-style kernel cache: an LRU of full columns bounded
-// by a byte budget. It is pure memoization — a hit returns exactly the
-// float64s a miss would recompute — so the solver's result is independent
-// of the budget. At least two columns are always resident (the solver
-// holds the two working-set columns at once), and evicted slices are
+// colCache is the libsvm-style kernel cache: an LRU of full group columns
+// bounded by a byte budget. It is pure memoization — a hit returns exactly
+// the float64s a miss would recompute — so the solver's result is
+// independent of the budget. At least two columns are always resident (the
+// solver holds the two working-set columns at once), and evicted slices are
 // recycled into the incoming column, so steady-state misses allocate
 // nothing.
 type colCache struct {
@@ -297,16 +301,15 @@ type colCache struct {
 	hits, misses int64
 }
 
-// budgetCols translates a byte budget into a column capacity for an
-// l-sample source with the given distinct-column count: at least two
-// columns (the solver pins the two working-set columns), at most one per
-// distinct column.
-func budgetCols(budgetBytes int64, l, distinct int) int {
+// budgetCols translates a byte budget into a column capacity over g
+// groups, each column costing 8·g bytes: at least two columns (the solver
+// pins the two working-set columns), at most one per group.
+func budgetCols(budgetBytes int64, g int) int {
 	capCols := 2
-	if l > 0 {
-		if byBudget := budgetBytes / int64(8*l); byBudget > 2 {
-			if byBudget > int64(distinct) {
-				capCols = distinct
+	if g > 0 {
+		if byBudget := budgetBytes / int64(8*g); byBudget > 2 {
+			if byBudget > int64(g) {
+				capCols = g
 			} else {
 				capCols = int(byBudget)
 			}
@@ -319,7 +322,7 @@ func budgetCols(budgetBytes int64, l, distinct int) int {
 }
 
 func newColCache(src columnSource, budgetBytes int64) *colCache {
-	capCols := budgetCols(budgetBytes, src.length(), src.distinct())
+	capCols := budgetCols(budgetBytes, src.groups().count())
 	return &colCache{
 		src:     src,
 		entries: make(map[int]*colEntry, capCols),
@@ -327,16 +330,17 @@ func newColCache(src columnSource, budgetBytes int64) *colCache {
 	}
 }
 
+func (c *colCache) groups() *groups { return c.src.groups() }
+
 // grow re-budgets the cache after its sparse source absorbed new samples
 // (extendTo). Resident columns are NOT eagerly extended: each keeps its
-// recorded fill watermark and pays for its missing tail only if and when the
-// solver asks for it again (see col) — eager extension would spend
-// (new group × resident column) kernel evaluations on columns the next solve
-// may never touch, which at campaign scale costs more than the warm start
-// saves. When the per-column footprint pushes the resident set past the new
+// length and pays for its missing tail only if and when the solver asks for
+// it again (see col) — eager extension would spend (new group × resident
+// column) kernel evaluations on columns the next solve may never touch.
+// When the per-column footprint pushes the resident set past the new
 // budget, least-recently-used columns are dropped first.
 func (c *colCache) grow(budgetBytes int64) {
-	c.capCols = budgetCols(budgetBytes, c.src.length(), c.src.distinct())
+	c.capCols = budgetCols(budgetBytes, c.src.groups().count())
 	for len(c.entries) > c.capCols && c.tail != nil {
 		e := c.tail
 		c.detach(e)
@@ -344,32 +348,29 @@ func (c *colCache) grow(budgetBytes int64) {
 	}
 }
 
-// resize returns col with length l, reusing its backing array when it fits
+// resize returns col with length n, reusing its backing array when it fits
 // and preserving the already-filled prefix otherwise.
-func resize(col []float64, l int) []float64 {
-	if cap(col) >= l {
-		return col[:l]
+func resize(col []float64, n int) []float64 {
+	if cap(col) >= n {
+		return col[:n]
 	}
-	grown := make([]float64, l)
+	grown := make([]float64, n)
 	copy(grown, col)
 	return grown
 }
 
 func (c *colCache) col(j int) []float64 {
-	key := c.src.remapped(j)
-	l := c.src.length()
+	grp := c.src.groups()
+	key, g := grp.of[j], grp.count()
 	if e := c.entries[key]; e != nil {
 		c.hits++
-		if e.filled < l {
+		if from := len(e.col); from < g {
 			// The source grew since this column was filled: extend it in
-			// place. Old groups' values are recovered from the column
-			// itself, so only (new group, this column) pairs cost kernel
-			// evaluations, and the extended column is bit-identical to a
-			// from-scratch fill. Within one solve l is fixed, so a pinned
-			// working-set slice is never reallocated mid-solve.
-			e.col = resize(e.col, l)
-			c.src.(*sparseColSource).fillTail(key, e.col, e.filled, e.reps)
-			e.filled, e.reps = l, c.src.distinct()
+			// place, evaluating only the new groups. Within one solve the
+			// group count is fixed, so a pinned working-set slice is never
+			// reallocated mid-solve.
+			e.col = resize(e.col, g)
+			c.src.(*sparseColSource).fillTail(key, e.col, from)
 		}
 		c.moveToFront(e)
 		return e.col
@@ -377,16 +378,15 @@ func (c *colCache) col(j int) []float64 {
 	c.misses++
 	var e *colEntry
 	if len(c.entries) < c.capCols {
-		e = &colEntry{col: make([]float64, l)}
+		e = &colEntry{col: make([]float64, g)}
 	} else {
 		e = c.tail
 		c.detach(e)
 		delete(c.entries, e.key)
-		e.col = resize(e.col, l)
+		e.col = resize(e.col, g)
 	}
 	e.key = key
 	c.src.fill(key, e.col)
-	e.filled, e.reps = l, c.src.distinct()
 	c.entries[key] = e
 	c.pushFront(e)
 	return e.col

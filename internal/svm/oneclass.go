@@ -1,7 +1,6 @@
 package svm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -61,17 +60,6 @@ type Config struct {
 	// CacheBytes bounds the cached path's column LRU (0 selects
 	// DefaultCacheBytes). At least two columns are always kept resident.
 	CacheBytes int64
-	// Shrinking enables the libsvm-style shrinking heuristic: bound
-	// samples that stopped violating the KKT conditions are periodically
-	// parked, shrinking the working-set scan and gradient updates; before
-	// termination the full gradient is reconstructed exactly and
-	// optimization resumes if any parked sample still violates. The
-	// optimum satisfies the same ε tolerance, but floating-point
-	// summation orders differ, so results are equal only up to the
-	// optimizer tolerance — use it for large l where iteration cost
-	// dominates, not where bit-reproducibility against the plain path
-	// matters.
-	Shrinking bool
 }
 
 func (cfg Config) workers() int {
@@ -126,6 +114,10 @@ type Model struct {
 	Iters      int
 	NumSV      int
 	NumBoundSV int
+	// Groups is the number of distinct sample vectors the solver ran
+	// over (one per sample on the dense-sample path, which does not
+	// deduplicate).
+	Groups int
 	// Cached-path diagnostics: column requests served from the LRU vs
 	// computed, and the cache capacity in columns. All zero on the dense
 	// path.
@@ -162,10 +154,10 @@ func Train(samples [][]float64, cfg Config) (*Model, error) {
 		return nil, err
 	}
 	var p gramProvider
-	if cached {
-		p = newColCache(&denseColSource{samples: samples, kernel: kernel, workers: cfg.workers()}, cfg.cacheBytes())
+	if grp := singletons(l); cached {
+		p = newColCache(&denseColSource{samples: samples, kernel: kernel, workers: cfg.workers(), grp: grp}, cfg.cacheBytes())
 	} else {
-		p = denseMatrix(gramDense(samples, kernel, cfg.workers()))
+		p = denseMatrix{q: gramDense(samples, kernel, cfg.workers()), grp: grp}
 	}
 	m, err := solve(p, l, cfg, kernel)
 	if err != nil {
@@ -220,7 +212,7 @@ func TrainSparse(samples []stats.Sparse, cfg Config) (*Model, error) {
 	if cached {
 		p = newColCache(newSparseColSource(samples, sk, cfg.workers()), cfg.cacheBytes())
 	} else {
-		p = denseMatrix(gramSparse(samples, sk, cfg.workers()))
+		p = gramSparse(samples, sk, cfg.workers())
 	}
 	m, err := solve(p, l, cfg, kernel)
 	if err != nil {
@@ -252,66 +244,15 @@ func gramDense(samples [][]float64, kernel Kernel, workers int) [][]float64 {
 }
 
 // gramSparse is gramDense over sparse samples, with duplicate collapsing:
-// event-handling intervals overwhelmingly repeat the same code path, so a
-// batch of l samples typically holds only a handful of distinct vectors.
-// Kernel values depend solely on vector contents, so evaluating one
-// representative pair per group and broadcasting fills the l×l matrix with
-// exactly the values a pairwise build would produce — g²/2 kernel
-// evaluations instead of l²/2, plus float copies.
-func gramSparse(samples []stats.Sparse, kernel SparseKernel, workers int) [][]float64 {
-	reps, group := dedupSparse(samples)
-	if len(reps) == len(samples) {
-		return buildGram(len(samples), workers, func(i, j int) float64 {
-			return kernel.EvalSparse(samples[i], samples[j])
-		})
-	}
-	g := buildGram(len(reps), workers, func(a, b int) float64 {
+// one kernel evaluation per pair of group representatives, g²/2 instead of
+// l²/2, stored as the g×g block the solver reads through group columns.
+func gramSparse(samples []stats.Sparse, kernel SparseKernel, workers int) denseMatrix {
+	src := newSparseColSource(samples, kernel, workers)
+	reps := src.grp.head
+	q := buildGram(len(reps), workers, func(a, b int) float64 {
 		return kernel.EvalSparse(samples[reps[a]], samples[reps[b]])
 	})
-	// Expand one full-length row per group and alias it across that
-	// group's samples: q[i][j] = g[group[i]][group[j]] with g×l storage
-	// instead of l². The solver only reads q, so sharing rows is safe.
-	l := len(samples)
-	rows := make([][]float64, len(reps))
-	for gi := range rows {
-		row := make([]float64, l)
-		grow := g[gi]
-		for j := 0; j < l; j++ {
-			row[j] = grow[group[j]]
-		}
-		rows[gi] = row
-	}
-	q := make([][]float64, l)
-	for i, gi := range group {
-		q[i] = rows[gi]
-	}
-	return q
-}
-
-// dedupSparse groups identical sparse vectors: reps lists the first sample
-// index of each distinct vector, group maps every sample to its entry in
-// reps. Keys are the raw index/value bytes, so only bit-identical vectors
-// share a group — a missed match (e.g. ±0) merely costs an extra
-// representative, never correctness.
-func dedupSparse(samples []stats.Sparse) (reps []int, group []int) {
-	group = make([]int, len(samples))
-	seen := make(map[string]int, len(samples))
-	var key []byte
-	for i, s := range samples {
-		key = key[:0]
-		for k, idx := range s.Idx {
-			key = binary.LittleEndian.AppendUint32(key, uint32(idx))
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(s.Val[k]))
-		}
-		if gi, ok := seen[string(key)]; ok {
-			group[i] = gi
-			continue
-		}
-		seen[string(key)] = len(reps)
-		group[i] = len(reps)
-		reps = append(reps, i)
-	}
-	return reps, group
+	return denseMatrix{q: q, grp: &src.grp}
 }
 
 func buildGram(l, workers int, eval func(i, j int) float64) [][]float64 {
@@ -365,26 +306,14 @@ func buildGram(l, workers int, eval func(i, j int) float64) [][]float64 {
 	return q
 }
 
-// shrinkInterval returns how many SMO iterations run between shrinking
-// passes (libsvm's min(l, 1000) schedule).
-func shrinkInterval(l int) int {
-	if l < 1000 {
-		return l
-	}
-	return 1000
-}
-
 // solve runs the SMO optimizer over a Gram-column provider and returns a
 // partially-filled model (alpha, rho, diagnostics); the caller attaches
 // the support-vector representation.
 //
 // The solver touches the matrix only through p.col, and every sum it forms
-// accumulates in the same element order as the historical row-based code,
-// so the result is bit-identical whether p materializes the matrix or
-// memoizes columns on demand at any cache size. With cfg.Shrinking the
-// iteration order over samples changes (parked samples are skipped and
-// gradients reconstructed on unshrink), so that path guarantees the same
-// ε-optimum but not bitwise equality.
+// accumulates in the same element order as a per-sample solver over the
+// full l×l matrix would, so the result is bit-identical whether p
+// materializes the matrix or memoizes columns on demand at any cache size.
 func solve(p gramProvider, l int, cfg Config, kernel Kernel) (*Model, error) {
 	return solveFrom(p, l, cfg, kernel, nil)
 }
@@ -397,8 +326,16 @@ func solve(p gramProvider, l int, cfg Config, kernel Kernel) (*Model, error) {
 // iterations reaching it takes, so a warm start at the previous optimum of
 // the *same* problem converges immediately to the bit-identical solution,
 // and a warm start on a grown problem lands on the same ε-optimum a cold
-// solve finds (equal up to solver tolerance, not bitwise — the same
-// discipline as shrinking).
+// solve finds (equal up to solver tolerance, not bitwise).
+//
+// α is per sample, but the gradient and the training decisions are kept
+// per duplicate group (p.groups()). That is exact, not an approximation:
+// samples in one group have bitwise-equal Q rows, so a per-sample solver
+// would feed every member's gradient the same additions in the same order,
+// and the members' values never differ. The working-set scan therefore
+// visits groups, each offering its lowest member index that may receive
+// mass and its lowest that may give it, and picks by (gradient, index):
+// exactly the first strict minimum/maximum a scan over all l samples finds.
 func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64) (*Model, error) {
 	if cfg.Nu <= 0 || cfg.Nu > 1 {
 		return nil, fmt.Errorf("svm: nu=%g outside (0,1]", cfg.Nu)
@@ -434,99 +371,74 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 	}
 
 	// Gradient of ½αᵀQα is Qα: only columns carrying mass contribute.
-	// Walking them in ascending order feeds each grad[i] the same
-	// additions in the same order as the historical row-based loop (Q is
-	// symmetric cell-for-cell by construction); for the cold prefix
-	// initialization this is exactly the historical prefix walk, so cold
-	// solves stay bit-identical.
-	grad := make([]float64, l)
+	// Walking them in ascending sample order feeds each group's gradient
+	// the same additions in the same order as a row-based loop over the
+	// full matrix (Q is symmetric cell-for-cell by construction).
+	grp := p.groups()
+	grad := make([]float64, grp.count())
 	for j := 0; j < l; j++ {
 		if alpha[j] <= 0 {
 			continue
 		}
 		cj := p.col(j)
 		aj := alpha[j]
-		for i := 0; i < l; i++ {
-			grad[i] += cj[i] * aj
+		for b := range grad {
+			grad[b] += cj[b] * aj
 		}
 	}
 
-	// The active set: active[:activeSize] are the sample indices the
-	// working-set scan and gradient updates visit. Without shrinking it
-	// stays the identity permutation over all l samples, so the scan
-	// order — and every tie-break — matches the plain loop exactly.
-	active := make([]int, l)
-	for k := range active {
-		active[k] = k
+	// up[b] and down[b] are group b's lowest member that may receive mass
+	// (α < C) and that may give it (α > 0), or -1. Members are linked in
+	// ascending order, so after a member's α changes, at most that member
+	// joins or leaves, and a leaving lowest member hands over to the next
+	// qualifying one after it.
+	canUp := func(k int) bool { return alpha[k] < c-1e-15 }
+	canDown := func(k int) bool { return alpha[k] > 1e-15 }
+	firstFrom := func(k int, ok func(int) bool) int {
+		for k >= 0 && !ok(k) {
+			k = grp.next[k]
+		}
+		return k
 	}
-	activeSize := l
-	parked := false
-	shrinkTick := shrinkInterval(l)
+	up, down := make([]int, grp.count()), make([]int, grp.count())
+	for b, k := range grp.head {
+		up[b], down[b] = firstFrom(k, canUp), firstFrom(k, canDown)
+	}
+	refresh := func(low []int, k int, ok func(int) bool) {
+		b := grp.of[k]
+		switch cur := low[b]; {
+		case cur == k && !ok(k):
+			low[b] = firstFrom(grp.next[k], ok)
+		case ok(k) && (cur < 0 || k < cur):
+			low[b] = k
+		}
+	}
 
 	iters := 0
 	for ; iters < maxIter; iters++ {
 		// Working-set selection (maximal violating pair):
-		// i ∈ {α < C} minimizing Gᵢ, j ∈ {α > 0} maximizing Gⱼ.
+		// i ∈ {α < C} minimizing Gᵢ, j ∈ {α > 0} maximizing Gⱼ, ties to
+		// the lowest sample index.
 		i, j := -1, -1
 		gmin, gmax := math.Inf(1), math.Inf(-1)
-		for t := 0; t < activeSize; t++ {
-			k := active[t]
-			if alpha[k] < c-1e-15 && grad[k] < gmin {
-				gmin = grad[k]
-				i = k
+		for b, gb := range grad {
+			if k := up[b]; k >= 0 && (gb < gmin || gb == gmin && k < i) {
+				gmin, i = gb, k
 			}
-			if alpha[k] > 1e-15 && grad[k] > gmax {
-				gmax = grad[k]
-				j = k
+			if k := down[b]; k >= 0 && (gb > gmax || gb == gmax && k < j) {
+				gmax, j = gb, k
 			}
 		}
 		if i < 0 || j < 0 || gmax-gmin < eps {
-			if !parked {
-				break
-			}
-			// Converged on the shrunk problem only. Reconstruct the
-			// parked gradients exactly, reactivate everything in the
-			// original order, and keep optimizing: termination always
-			// means the FULL problem satisfies the ε tolerance.
-			reconstructGradient(p, l, alpha, grad, active, activeSize)
-			for k := range active {
-				active[k] = k
-			}
-			activeSize = l
-			parked = false
-			shrinkTick = shrinkInterval(l)
-			continue
-		}
-
-		if cfg.Shrinking {
-			shrinkTick--
-			if shrinkTick == 0 {
-				shrinkTick = shrinkInterval(l)
-				// Park bound samples that no longer violate: a zero
-				// coefficient whose gradient already exceeds the worst
-				// upper violation can't be selected as i, a bound-C
-				// coefficient below the worst lower violation can't be
-				// selected as j. A mistaken park is repaired by the
-				// reconstruction pass above.
-				for t := 0; t < activeSize; {
-					k := active[t]
-					if (alpha[k] <= 1e-15 && grad[k] > gmax) ||
-						(alpha[k] >= c-1e-15 && grad[k] < gmin) {
-						activeSize--
-						active[t], active[activeSize] = active[activeSize], active[t]
-						parked = true
-						continue
-					}
-					t++
-				}
-			}
+			break
 		}
 
 		ci, cj := p.col(i), p.col(j)
-		eta := ci[i] + cj[j] - 2*ci[j]
+		bi, bj := grp.of[i], grp.of[j]
+		eta := ci[bi] + cj[bj] - 2*ci[bj]
 		var delta float64
 		if eta > 1e-12 {
-			delta = (grad[j] - grad[i]) / eta
+			delta = (gmax - gmin) / eta
 		} else {
 			delta = math.Inf(1)
 		}
@@ -541,35 +453,34 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 		}
 		alpha[i] += delta
 		alpha[j] -= delta
-		for t := 0; t < activeSize; t++ {
-			k := active[t]
-			grad[k] += delta * (ci[k] - cj[k])
+		for b := range grad {
+			grad[b] += delta * (ci[b] - cj[b])
+		}
+		for _, k := range [2]int{i, j} {
+			refresh(up, k, canUp)
+			refresh(down, k, canDown)
 		}
 	}
-	if parked {
-		// MaxIter exhaustion (or a degenerate step) on the shrunk
-		// problem: the parked gradients are stale; ρ and the training
-		// decisions below need the true ones.
-		reconstructGradient(p, l, alpha, grad, active, activeSize)
-	}
 
-	// ρ: at the optimum, free SVs satisfy Gᵢ = ρ.
+	// ρ: at the optimum, free SVs satisfy Gᵢ = ρ. The sum runs per sample,
+	// in sample order: its rounding depends on it.
 	var freeSum float64
 	var freeCnt, bound int
 	lo, hi := math.Inf(-1), math.Inf(1)
 	for k := 0; k < l; k++ {
+		gk := grad[grp.of[k]]
 		switch {
 		case alpha[k] <= 1e-12:
-			if grad[k] < hi {
-				hi = grad[k]
+			if gk < hi {
+				hi = gk
 			}
 		case alpha[k] >= c-1e-12:
 			bound++
-			if grad[k] > lo {
-				lo = grad[k]
+			if gk > lo {
+				lo = gk
 			}
 		default:
-			freeSum += grad[k]
+			freeSum += gk
 			freeCnt++
 		}
 	}
@@ -589,29 +500,29 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 
 	// Zero the below-threshold coefficients so the caller's SV filter
 	// and the Gram-reuse scoring below agree on the SV set.
-	svIdx := make([]int, 0, l)
-	for k := 0; k < l; k++ {
-		if alpha[k] > 1e-12 {
-			svIdx = append(svIdx, k)
-		} else {
+	for k := range alpha {
+		if !(alpha[k] > 1e-12) {
 			alpha[k] = 0
 		}
 	}
 
-	// Score every training row from its cached Gram column. Walking the
-	// SV columns in ascending training order feeds each row's sum the
-	// same additions in the same order as fresh per-row evaluation, so
-	// the scores reproduce Decision bit-for-bit.
-	trainDec := make([]float64, l)
-	for _, i := range svIdx {
+	// Score every group from its cached Gram column. Walking the SV
+	// columns in ascending training order feeds each sum the same
+	// additions in the same order as fresh per-row evaluation, so the
+	// scores reproduce Decision bit-for-bit.
+	dec := make([]float64, grp.count())
+	for i, ai := range alpha {
+		if ai == 0 {
+			continue
+		}
 		ci := p.col(i)
-		ai := alpha[i]
-		for k := 0; k < l; k++ {
-			trainDec[k] += ai * ci[k]
+		for b := range dec {
+			dec[b] += ai * ci[b]
 		}
 	}
-	for k := 0; k < l; k++ {
-		trainDec[k] -= rho
+	trainDec := make([]float64, l)
+	for k, b := range grp.of {
+		trainDec[k] = dec[b] - rho
 	}
 
 	m := &Model{
@@ -621,6 +532,7 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 		trainDec:   trainDec,
 		Iters:      iters,
 		NumBoundSV: bound,
+		Groups:     grp.count(),
 	}
 	if cache, ok := p.(*colCache); ok {
 		m.CacheHits = cache.hits
@@ -628,26 +540,6 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 		m.CacheCols = cache.capCols
 	}
 	return m, nil
-}
-
-// reconstructGradient recomputes grad[k] = Σⱼ αⱼ·Q[k][j] from scratch for
-// every parked sample (active[activeSize:]). Only columns carrying mass
-// contribute, and those are overwhelmingly cached — they are exactly the
-// columns the working-set updates kept touching.
-func reconstructGradient(p gramProvider, l int, alpha, grad []float64, active []int, activeSize int) {
-	for _, k := range active[activeSize:] {
-		grad[k] = 0
-	}
-	for j := 0; j < l; j++ {
-		if alpha[j] <= 0 {
-			continue
-		}
-		cj := p.col(j)
-		aj := alpha[j]
-		for _, k := range active[activeSize:] {
-			grad[k] += cj[k] * aj
-		}
-	}
 }
 
 // finish compacts alpha to the kept SVs and fills the SV count.

@@ -36,8 +36,8 @@ import (
 // the warm start (a feasible point is a feasible point).
 //
 // Equivalence discipline: a warm refit satisfies the same ε KKT tolerance
-// as a cold solve — like the shrinking heuristic, it guarantees the same
-// ε-optimum, not the same float trajectory. A warm refit whose samples did
+// as a cold solve: it guarantees the same ε-optimum, not the same float
+// trajectory. A warm refit whose samples did
 // not change at all converges in zero iterations with the previous
 // coefficients untouched.
 type Incremental struct {

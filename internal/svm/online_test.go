@@ -2,6 +2,7 @@ package svm
 
 import (
 	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -64,8 +65,8 @@ func TestIncrementalWarmUnchangedConvergesImmediately(t *testing.T) {
 }
 
 // TestIncrementalGrownMatchesCold: growing the batch across warm refits
-// must land on the same ε-optimum a cold solve finds — the shrinking
-// discipline: decisions within the KKT band, no rank swaps wider than it.
+// must land on the same ε-optimum a cold solve finds: decisions within the
+// KKT band, no rank swaps wider than it.
 func TestIncrementalGrownMatchesCold(t *testing.T) {
 	rng := randx.New(43)
 	full := sparseCluster(rng, 240, 56)
@@ -83,7 +84,7 @@ func TestIncrementalGrownMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const epsBand = 1e-3 // 10× the default KKT tolerance, as in shrinking
+	const epsBand = 1e-3 // 10× the default KKT tolerance
 	coldDec, warmDec := cold.TrainingDecisions(), warm.TrainingDecisions()
 	for k := range coldDec {
 		if math.Abs(coldDec[k]-warmDec[k]) > epsBand {
@@ -216,8 +217,9 @@ func (k countingKernel) EvalSparse(a, b stats.Sparse) float64 {
 }
 
 // TestExtendToMatchesFreshSource: a source grown batch-by-batch must
-// assign the same groups — and fill bit-identical columns — as one built
-// in a single shot over the full batch.
+// assign the same groups, link the same member lists, and fill
+// bit-identical group columns as one built in a single shot over the full
+// batch.
 func TestExtendToMatchesFreshSource(t *testing.T) {
 	rng := randx.New(46)
 	distinct := sparseCluster(rng, 9, 24)
@@ -232,16 +234,19 @@ func TestExtendToMatchesFreshSource(t *testing.T) {
 	grown.extendTo(full)
 	fresh := newSparseColSource(full, kernel, 1)
 
-	if grown.distinct() != fresh.distinct() {
-		t.Fatalf("distinct: grown %d vs fresh %d", grown.distinct(), fresh.distinct())
+	if grown.grp.count() != fresh.grp.count() {
+		t.Fatalf("distinct: grown %d vs fresh %d", grown.grp.count(), fresh.grp.count())
 	}
 	for i := range full {
-		if grown.remapped(i) != fresh.remapped(i) {
-			t.Fatalf("sample %d: group %d (grown) vs %d (fresh)", i, grown.remapped(i), fresh.remapped(i))
+		if grown.grp.of[i] != fresh.grp.of[i] {
+			t.Fatalf("sample %d: group %d (grown) vs %d (fresh)", i, grown.grp.of[i], fresh.grp.of[i])
 		}
 	}
-	a, b := make([]float64, len(full)), make([]float64, len(full))
-	for g := 0; g < fresh.distinct(); g++ {
+	if !reflect.DeepEqual(grown.grp, fresh.grp) {
+		t.Fatalf("member lists differ: grown %+v vs fresh %+v", grown.grp, fresh.grp)
+	}
+	a, b := make([]float64, fresh.grp.count()), make([]float64, fresh.grp.count())
+	for g := 0; g < fresh.grp.count(); g++ {
 		grown.fill(g, a)
 		fresh.fill(g, b)
 		for k := range a {
@@ -272,17 +277,17 @@ func TestCacheGrowBitExactAndCheap(t *testing.T) {
 
 	src := newSparseColSource(full[:80], kernel, 1)
 	cache := newColCache(src, 1<<30) // room for every column
-	oldReps := src.distinct()
+	oldReps := src.grp.count()
 	var resident []int
 	for g := 0; g < oldReps; g++ {
-		cache.col(src.reps[g]) // fault in by sample index of each rep
+		cache.col(src.grp.head[g]) // fault in by sample index of each rep
 		resident = append(resident, g)
 	}
 
 	src.extendTo(full)
 	evals.Store(0)
 	cache.grow(1 << 30)
-	newReps := src.distinct() - oldReps
+	newReps := src.grp.count() - oldReps
 	if newReps == 0 {
 		t.Fatal("tail introduced no new groups; the accounting below is vacuous")
 	}
@@ -290,17 +295,17 @@ func TestCacheGrowBitExactAndCheap(t *testing.T) {
 		t.Fatalf("grow paid %d kernel evals eagerly, want 0 (extension is lazy)", got)
 	}
 
-	want := make([]float64, len(full))
+	want := make([]float64, src.grp.count())
 	freshSrc := newSparseColSource(full, RBF{Gamma: 0.05}, 1)
 	for _, g := range resident {
 		evals.Store(0)
-		got := cache.col(src.reps[g]) // first touch after growth extends
+		got := cache.col(src.grp.head[g]) // first touch after growth extends
 		if int64(newReps) != evals.Load() {
 			t.Fatalf("column %d extension paid %d kernel evals, want %d (one per new group)",
 				g, evals.Load(), newReps)
 		}
-		if len(got) != len(full) {
-			t.Fatalf("column %d length %d, want %d", g, len(got), len(full))
+		if len(got) != src.grp.count() {
+			t.Fatalf("column %d length %d, want one cell per group (%d)", g, len(got), src.grp.count())
 		}
 		freshSrc.fill(g, want)
 		for k := range want {
@@ -309,7 +314,7 @@ func TestCacheGrowBitExactAndCheap(t *testing.T) {
 			}
 		}
 		evals.Store(0)
-		cache.col(src.reps[g]) // second touch is a plain hit
+		cache.col(src.grp.head[g]) // second touch is a plain hit
 		if evals.Load() != 0 {
 			t.Fatalf("column %d re-touch paid %d kernel evals, want 0", g, evals.Load())
 		}
@@ -324,10 +329,10 @@ func TestCacheGrowEvictsToBudget(t *testing.T) {
 	src := newSparseColSource(samples[:48], RBF{Gamma: 0.1}, 1)
 	cache := newColCache(src, 1<<30)
 	for g := 0; g < 8; g++ {
-		cache.col(src.reps[g])
+		cache.col(src.grp.head[g])
 	}
 	src.extendTo(samples)
-	cache.grow(8 * 64 * 3) // room for exactly 3 columns
+	cache.grow(8 * 64 * 3) // 64 groups of 8 bytes each: room for exactly 3 columns
 	if len(cache.entries) != 3 {
 		t.Fatalf("%d resident columns after grow, want 3", len(cache.entries))
 	}
@@ -383,7 +388,7 @@ func TestFastEvalCellsWithinTolerance(t *testing.T) {
 			t.Fatalf("%s: fast mode did not engage", kernel)
 		}
 		a, b := make([]float64, len(samples)), make([]float64, len(samples))
-		for g := 0; g < exact.distinct(); g++ {
+		for g := 0; g < exact.grp.count(); g++ {
 			exact.fill(g, a)
 			fast.fill(g, b)
 			for k := range a {
@@ -411,15 +416,15 @@ func TestFastEvalNormsTrackGrowth(t *testing.T) {
 	before := newSparseColSource(full[:30], kernel, 1)
 	before.enableFastEval()
 	before.extendTo(full)
-	if len(before.norms) != before.distinct() {
-		t.Fatalf("enabled-then-grown: %d norms for %d groups", len(before.norms), before.distinct())
+	if len(before.norms) != before.grp.count() {
+		t.Fatalf("enabled-then-grown: %d norms for %d groups", len(before.norms), before.grp.count())
 	}
 
 	after := newSparseColSource(full[:30], kernel, 1)
 	after.extendTo(full)
 	after.enableFastEval()
-	if len(after.norms) != after.distinct() {
-		t.Fatalf("grown-then-enabled: %d norms for %d groups", len(after.norms), after.distinct())
+	if len(after.norms) != after.grp.count() {
+		t.Fatalf("grown-then-enabled: %d norms for %d groups", len(after.norms), after.grp.count())
 	}
 	for g := range before.norms {
 		if before.norms[g] != after.norms[g] {
