@@ -38,11 +38,10 @@ bench-svm:
 bench-online:
 	$(GO) test -run xxx -bench 'BenchmarkOnlineMine|BenchmarkOnlineIngest' -benchmem -timeout 60m ./internal/core/
 
-# The parallel-emulation benchmark behind BENCH_PR6.json: record phase of
-# the multihop chain, sequential vs conservative parallel sections across
-# worker counts.
+# The record phase of the 12-node multihop chain (conservative sections on
+# the scheduler goroutine; BENCH_PR6.json has the old worker-count sweep).
 bench-spec:
-	$(GO) test -run xxx -bench 'BenchmarkRecordParallelNodes' -benchmem -timeout 30m ./internal/synth/
+	$(GO) test -run xxx -bench 'BenchmarkRecordMultihop' -benchmem -timeout 30m ./internal/synth/
 
 # Every benchmark, including the paper-evaluation harness (slow).
 bench-all:

@@ -1,12 +1,18 @@
 package sentomist_test
 
 import (
+	"runtime"
 	"testing"
 
 	"sentomist"
+	"sentomist/internal/dev"
 	"sentomist/internal/experiments"
 	"sentomist/internal/feature"
 	"sentomist/internal/lifecycle"
+	"sentomist/internal/medium"
+	"sentomist/internal/node"
+	"sentomist/internal/randx"
+	"sentomist/internal/sim"
 	"sentomist/internal/stats"
 	"sentomist/internal/svm"
 	"sentomist/internal/synth"
@@ -375,5 +381,93 @@ func TestDuplicateRefitAllocBudget(t *testing.T) {
 		dupRefitSamples, groups, dupRefitSteps, res.AllocsPerOp(), bytes, res.N)
 	if bytes > maxDupRefitBytes {
 		t.Errorf("B/op regressed: %d > %d (threshold)", bytes, maxDupRefitBytes)
+	}
+}
+
+// Section allocation guard: the 12-node multihop chain, warmed for
+// sectionWarmCycles, then advanced sectionSteps times by sectionStepCycles
+// more. Every scheduler scratch buffer, medium free list and recorder
+// buffer is grown by then, so a section itself must allocate nothing; the
+// only allocations left are the radio frames the chain sends during the
+// window (payload copies and the delivery log). The budget of 0.05
+// allocations per section leaves room for those and fails as soon as
+// sections allocate per section again (a pool dispatch descriptor per pass
+// costs at least one per section).
+const (
+	sectionNodes        = 12
+	sectionWarmCycles   = 500_000
+	sectionStepCycles   = 10_000
+	sectionSteps        = 30
+	maxAllocsPerSection = 0.05
+)
+
+// chainSim rebuilds the benchmark chain's nodes around its assembled
+// firmware with every node's markers discarded (Recorder.SetSink(nil,
+// true)), and returns the simulator over them.
+func chainSim(t *testing.T) *sim.Sim {
+	t.Helper()
+	sc, err := synth.BuildMultihop(synth.MultihopConfig{Nodes: sectionNodes, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := sc.Run(0) // assembles the firmware; runs no cycles
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := medium.NewNetwork(randx.New(1))
+	nodes := make([]*node.Node, sectionNodes)
+	for id := range nodes {
+		n, err := node.New(node.Config{ID: id, Program: run.Programs[id], Truth: true, DiscardMarkers: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Attach(dev.NewTimer(dev.IRQTimer0, n,
+			dev.PortT0Ctrl, dev.PortT0PeriodLo, dev.PortT0PeriodHi, dev.PortT0Prescale))
+		radio := dev.NewRadio(n)
+		mac := net.NewMAC(id)
+		radio.SetTransceiver(mac)
+		mac.SetClient(radio)
+		n.Attach(radio)
+		nodes[id] = n
+	}
+	for id := 1; id < sectionNodes; id++ {
+		net.AddSymmetricLink(id-1, id, 0)
+	}
+	return sim.New(1, nodes, net)
+}
+
+// TestSectionAllocBudget guards the scheduler's section path: once the
+// chain is warm, further Sim.Run sections allocate nothing per section.
+func TestSectionAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts; CI guards allocations in a non-race step")
+	}
+	s := chainSim(t)
+	if err := s.Run(sectionWarmCycles); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 1; i <= sectionSteps; i++ {
+		if err := s.Run(sectionWarmCycles + uint64(i)*sectionStepCycles); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	after := s.Stats()
+	sections := after.ParallelSections - before.ParallelSections
+	allocs := m1.Mallocs - m0.Mallocs
+	t.Logf("12-node chain, %d cycles after warm-up: %d sections (%d staged medium events), %d allocs",
+		sectionSteps*sectionStepCycles, sections, after.StagedEvents-before.StagedEvents, allocs)
+	if sections < 100 {
+		t.Fatalf("only %d sections in the window; the guard is not exercising the section path", sections)
+	}
+	if float64(allocs) > maxAllocsPerSection*float64(sections) {
+		t.Errorf("sections allocate: %d allocs over %d sections (budget %.2f per section)",
+			allocs, sections, maxAllocsPerSection)
 	}
 }

@@ -15,10 +15,7 @@ import (
 )
 
 func main() {
-	nodeWorkers := flag.Int("node-workers", 0,
-		"emulator-side parallelism for every record phase (sim.Config.ParallelNodes); traces and all results are byte-identical at any setting, only the record phases speed up (<= 1 = sequential)")
 	flag.Parse()
-	experiments.NodeWorkers = *nodeWorkers
 	stop, err := startProfiling()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

@@ -259,7 +259,6 @@ func printOnlineRanking(r *sentomist.OnlineRanking) {
 // corpus, print the ranking-quality report, and optionally gate it against
 // (or regenerate) the checked-in baseline.
 func runBench(opt options) error {
-	bench.NodeWorkers = opt.parallelism
 	rep, err := bench.EvaluateAll(bench.Catalog())
 	if err != nil {
 		return err

@@ -40,8 +40,7 @@ func main() {
 		mineIRQ     = flag.Int("mine-irq", 0, "also mine every run's intervals of this event type and cross-check the cached-kernel SVM ranking against the dense path bitwise (0 = off)")
 		svmCacheMB  = flag.Int("svm-cache-mb", 1, "kernel column cache budget (MiB) for the cached side of the -mine-irq cross-check")
 		onlineCheck = flag.Bool("online-check", false, "additionally run every -mine-irq problem through the online miner (refit every batch, warm starts, on-disk spill, delta replay, a second event type, and a compacted pass) and require every finalized ranking to be bit-identical to one-shot MineBatches")
-		nodeWorkers = flag.Int("node-workers", 0, "emulator-side parallelism per scenario (sim.Config.ParallelNodes); traces are byte-identical at any setting (<= 1 = sequential)")
-		parCheck    = flag.Bool("par-check", false, "record every scenario twice — sequentially and with parallel node sections — and require the serialized traces to be byte-identical (uses -node-workers, or 4 when unset)")
+		refCheck    = flag.Bool("ref-check", false, "record every scenario again on the single-step, fixed-quantum reference engine and require the serialized traces to be byte-identical")
 	)
 	flag.Parse()
 	stop, err := startProfiling()
@@ -49,7 +48,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "soak:", err)
 		os.Exit(1)
 	}
-	err = run(*runs, *seed, *nodes, *seconds, *stream, *mineIRQ, *svmCacheMB, *onlineCheck, *nodeWorkers, *parCheck)
+	err = run(*runs, *seed, *nodes, *seconds, *stream, *mineIRQ, *svmCacheMB, *onlineCheck, *refCheck)
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "soak:", err)
@@ -57,31 +56,21 @@ func main() {
 	}
 }
 
-func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ, svmCacheMB int, onlineCheck bool, nodeWorkers int, parCheck bool) error {
+func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ, svmCacheMB int, onlineCheck, refCheck bool) error {
 	if onlineCheck && mineIRQ == 0 {
 		return fmt.Errorf("-online-check needs -mine-irq to select the event type")
 	}
 	totalIntervals, totalMarkers, totalStreamed, totalMined := 0, 0, 0, 0
 	var online onlineTotals
 	pool := &lifecycle.ScratchPool{}
-	checkWorkers := nodeWorkers
-	if parCheck && checkWorkers <= 1 {
-		checkWorkers = 4
-	}
 	var stats sim.Stats
 	for i := 0; i < runs; i++ {
 		s := seed + uint64(i)
 		cfg := synth.Config{
-			Seed:        s,
-			MaxNodes:    6,
-			ExactNodes:  nodes,
-			Seconds:     seconds,
-			NodeWorkers: nodeWorkers,
-		}
-		if parCheck {
-			// The primary recording is the sequential reference; the
-			// parallel re-recording below must match it byte for byte.
-			cfg.NodeWorkers = 0
+			Seed:       s,
+			MaxNodes:   6,
+			ExactNodes: nodes,
+			Seconds:    seconds,
 		}
 		r, err := synth.Generate(cfg)
 		if err != nil {
@@ -91,12 +80,10 @@ func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ
 			return fmt.Errorf("seed %d: invalid trace: %w", s, err)
 		}
 		addStats(&stats, r.Stats)
-		if parCheck {
-			parStats, err := verifyParallel(cfg, r, checkWorkers)
-			if err != nil {
+		if refCheck {
+			if err := verifyReference(cfg, r); err != nil {
 				return fmt.Errorf("seed %d: %w", s, err)
 			}
-			addStats(&stats, parStats)
 		}
 		for _, nt := range r.Trace.Nodes {
 			totalMarkers += len(nt.Markers)
@@ -145,15 +132,12 @@ func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ
 		fmt.Printf("online refits: SMO ran over %d distinct counter vectors for %d scored intervals (summed over refits)\n",
 			online.groups, online.scored)
 	}
-	if parCheck {
-		fmt.Printf("parallel cross-check: every serialized trace byte-identical at %d node workers\n",
-			checkWorkers)
+	if refCheck {
+		fmt.Printf("reference cross-check: every serialized trace byte-identical to the reference engine\n")
 	}
-	if nodeWorkers > 1 || parCheck {
-		fmt.Printf("scheduler: %d rounds, %d solo jumps, %d idle jumps, %d parallel sections (%d advances, %d staged events)\n",
-			stats.Rounds, stats.SoloJumps, stats.IdleJumps,
-			stats.ParallelSections, stats.ParallelAdvances, stats.StagedEvents)
-	}
+	fmt.Printf("scheduler: %d rounds, %d solo jumps, %d idle jumps, %d sections (%d advances, %d staged events)\n",
+		stats.Rounds, stats.SoloJumps, stats.IdleJumps,
+		stats.ParallelSections, stats.ParallelAdvances, stats.StagedEvents)
 	return nil
 }
 
@@ -166,33 +150,38 @@ func addStats(total *sim.Stats, s sim.Stats) {
 	total.HorizonBarriers += s.HorizonBarriers
 	total.ParallelAdvances += s.ParallelAdvances
 	total.StagedEvents += s.StagedEvents
-	total.WorkersParked += s.WorkersParked
-	total.WorkersWoken += s.WorkersWoken
 }
 
-// verifyParallel re-records the scenario with parallel node sections and
-// requires the serialized trace to be byte-identical to the sequential
-// reference already recorded (the trace-equivalence gate of the scheduler,
-// on live random topologies). It returns the re-recording's scheduler
-// counters.
-func verifyParallel(cfg synth.Config, ref *apps.Run, workers int) (sim.Stats, error) {
-	cfg.NodeWorkers = workers
-	par, err := synth.Generate(cfg)
+// verifyReference re-records the scenario on the single-step,
+// fixed-quantum reference engine and requires the serialized trace to be
+// byte-identical to the default engine's recording (the trace-equivalence
+// gate of the scheduler's sections, on live random topologies).
+func verifyReference(cfg synth.Config, got *apps.Run) error {
+	sc, err := synth.Build(cfg)
 	if err != nil {
-		return sim.Stats{}, fmt.Errorf("parallel (%d workers): %w", workers, err)
+		return fmt.Errorf("reference: %w", err)
+	}
+	sc.SetReference(true)
+	seconds := cfg.Seconds
+	if seconds <= 0 {
+		seconds = 0.5 // synth.Generate's default
+	}
+	ref, err := sc.Run(seconds)
+	if err != nil {
+		return fmt.Errorf("reference: %w", err)
 	}
 	var a, b bytes.Buffer
 	if err := ref.Trace.WriteBinary(&a); err != nil {
-		return sim.Stats{}, err
+		return err
 	}
-	if err := par.Trace.WriteBinary(&b); err != nil {
-		return sim.Stats{}, err
+	if err := got.Trace.WriteBinary(&b); err != nil {
+		return err
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		return sim.Stats{}, fmt.Errorf("parallel (%d workers): trace diverges from sequential (%d vs %d bytes)",
-			workers, b.Len(), a.Len())
+		return fmt.Errorf("reference: trace diverges from the reference engine (%d vs %d bytes)",
+			b.Len(), a.Len())
 	}
-	return par.Stats, nil
+	return nil
 }
 
 // denseGramSVM is the default detector (outlier.OneClassSVM with its

@@ -24,20 +24,19 @@ func main() {
 		fixed    = flag.Bool("fixed", false, "run the bug-fixed variant")
 		period   = flag.Int("period", 20, "case I: sampling period in ms")
 		asBundle = flag.Bool("bundle", false, "save a full run bundle (trace + programs) instead of a bare trace")
-		workers  = flag.Int("node-workers", 0, "emulator-side parallelism (sim.Config.ParallelNodes); the saved trace is byte-identical at any setting (<= 1 = sequential)")
 	)
 	flag.Parse()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "tracegen: -out is required")
 		os.Exit(2)
 	}
-	if err := run(*study, *out, *seconds, *seed, *fixed, *period, *asBundle, *workers); err != nil {
+	if err := run(*study, *out, *seconds, *seed, *fixed, *period, *asBundle); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(study, out string, seconds float64, seed uint64, fixed bool, period int, asBundle bool, workers int) error {
+func run(study, out string, seconds float64, seed uint64, fixed bool, period int, asBundle bool) error {
 	var (
 		r   *sentomist.Run
 		err error
@@ -52,7 +51,6 @@ func run(study, out string, seconds float64, seed uint64, fixed bool, period int
 		}
 		r, err = sentomist.RunCaseI(sentomist.CaseIConfig{
 			PeriodMS: period, Seconds: seconds, Seed: seed, Fixed: fixed,
-			NodeWorkers: workers,
 		})
 	case "II", "2":
 		if seconds == 0 {
@@ -62,7 +60,7 @@ func run(study, out string, seconds float64, seed uint64, fixed bool, period int
 			seed = 7
 		}
 		r, err = sentomist.RunCaseII(sentomist.CaseIIConfig{
-			Seconds: seconds, Seed: seed, Fixed: fixed, NodeWorkers: workers,
+			Seconds: seconds, Seed: seed, Fixed: fixed,
 		})
 	case "III", "3":
 		if seconds == 0 {
@@ -72,7 +70,7 @@ func run(study, out string, seconds float64, seed uint64, fixed bool, period int
 			seed = 20
 		}
 		r, err = sentomist.RunCaseIII(sentomist.CaseIIIConfig{
-			Seconds: seconds, Seed: seed, Fixed: fixed, NodeWorkers: workers,
+			Seconds: seconds, Seed: seed, Fixed: fixed,
 		})
 	default:
 		return fmt.Errorf("unknown case study %q", study)
@@ -93,11 +91,9 @@ func run(study, out string, seconds float64, seed uint64, fixed bool, period int
 	}
 	fmt.Printf("wrote %s: %d nodes, %d markers, ~%d bytes uncompressed\n",
 		out, len(r.Trace.Nodes), markers, r.Trace.SizeBytes())
-	if workers > 1 {
-		st := r.Stats
-		fmt.Printf("scheduler: %d rounds, %d solo jumps, %d idle jumps, %d parallel sections (%d advances, %d staged events)\n",
-			st.Rounds, st.SoloJumps, st.IdleJumps,
-			st.ParallelSections, st.ParallelAdvances, st.StagedEvents)
-	}
+	st := r.Stats
+	fmt.Printf("scheduler: %d rounds, %d solo jumps, %d idle jumps, %d sections (%d advances, %d staged events)\n",
+		st.Rounds, st.SoloJumps, st.IdleJumps,
+		st.ParallelSections, st.ParallelAdvances, st.StagedEvents)
 	return nil
 }

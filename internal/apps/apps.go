@@ -69,7 +69,7 @@ type Run struct {
 	Net      *medium.Network
 	Nodes    map[int]*node.Node
 	// Stats holds the scheduler's per-run counters (rounds, jumps,
-	// parallel sections); see sim.Stats.
+	// sections); see sim.Stats.
 	Stats sim.Stats
 
 	// firstPC memoizes FirstMarkerWithPC answers per (node, pc) for the
@@ -129,9 +129,6 @@ type builder struct {
 	// (node SingleStep + sim reference scheduler) instead of the batched
 	// event-horizon engine; used by differential tests.
 	reference bool
-	// parallel bounds how many nodes advance concurrently inside the
-	// scheduler's conservative-lookahead sections; <= 1 stays sequential.
-	parallel int
 }
 
 // RNG-split keys of the builder's derived streams. The network's stream is
@@ -187,7 +184,6 @@ func (b *builder) addNode(id int, prog *asm.Result, o nodeOpts) (*node.Node, err
 		RAMInit:        o.ramInit,
 		Truth:          true,
 		Sequential:     o.sequential,
-		SingleStep:     b.reference,
 		Sink:           o.sink,
 		DiscardMarkers: o.discard,
 	})
@@ -232,11 +228,10 @@ func (b *builder) addNode(id int, prog *asm.Result, o nodeOpts) (*node.Node, err
 // execute runs the scenario for the given number of seconds and collects
 // the trace.
 func (b *builder) execute(seconds float64) (*Run, error) {
-	s := sim.NewWithConfig(sim.Config{
-		Seed:          b.seed,
-		Reference:     b.reference,
-		ParallelNodes: b.parallel,
-	}, b.nodes, b.net)
+	for _, n := range b.nodes {
+		n.SetSingleStep(b.reference)
+	}
+	s := sim.NewWithConfig(sim.Config{Seed: b.seed, Reference: b.reference}, b.nodes, b.net)
 	cycles := uint64(seconds * CyclesPerSecond)
 	if err := s.Run(cycles); err != nil {
 		return nil, err

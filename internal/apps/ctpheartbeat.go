@@ -385,11 +385,6 @@ type CTPConfig struct {
 	// markers from the materialized trace (see OscConfig).
 	Stream         map[int]trace.StreamSink
 	DiscardMarkers bool
-	// NodeWorkers bounds how many nodes advance concurrently inside the
-	// scheduler's conservative-lookahead sections; <= 1 (the default)
-	// keeps node execution sequential, < 0 selects GOMAXPROCS. Traces
-	// are byte-identical at any setting.
-	NodeWorkers int
 }
 
 // RunCTPHeartbeat executes one Case-III run: 9 nodes, two-level tree.
@@ -410,7 +405,6 @@ func RunCTPHeartbeat(cfg CTPConfig) (*Run, error) {
 
 	b := newBuilder(cfg.Seed)
 	b.reference = cfg.Reference
-	b.parallel = cfg.NodeWorkers
 	if _, err := b.addNode(CTPRootID, rootProg, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[CTPRootID], discard: cfg.DiscardMarkers,

@@ -307,11 +307,6 @@ type ForwarderConfig struct {
 	// markers from the materialized trace (see OscConfig).
 	Stream         map[int]trace.StreamSink
 	DiscardMarkers bool
-	// NodeWorkers bounds how many nodes advance concurrently inside the
-	// scheduler's conservative-lookahead sections; <= 1 (the default)
-	// keeps node execution sequential, < 0 selects GOMAXPROCS. Traces
-	// are byte-identical at any setting.
-	NodeWorkers int
 }
 
 // RunForwarder executes one Case-II run.
@@ -335,7 +330,6 @@ func RunForwarder(cfg ForwarderConfig) (*Run, error) {
 
 	b := newBuilder(cfg.Seed)
 	b.reference = cfg.Reference
-	b.parallel = cfg.NodeWorkers
 	if _, err := b.addNode(FwdSinkID, sinkProg, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[FwdSinkID], discard: cfg.DiscardMarkers,

@@ -230,11 +230,6 @@ type OscConfig struct {
 	// node; with Stream sinks installed, the online consumers are then
 	// the only output of the record phase.
 	DiscardMarkers bool
-	// NodeWorkers bounds how many nodes advance concurrently inside the
-	// scheduler's conservative-lookahead sections; <= 1 (the default)
-	// keeps node execution sequential, < 0 selects GOMAXPROCS. Traces
-	// are byte-identical at any setting.
-	NodeWorkers int
 }
 
 // RunOscilloscope executes one Case-I run and returns its trace.
@@ -254,7 +249,6 @@ func RunOscilloscope(cfg OscConfig) (*Run, error) {
 
 	b := newBuilder(cfg.Seed)
 	b.reference = cfg.Reference
-	b.parallel = cfg.NodeWorkers
 	if _, err := b.addNode(OscSinkID, sinkSrc, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[OscSinkID], discard: cfg.DiscardMarkers,

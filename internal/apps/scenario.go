@@ -90,11 +90,11 @@ func (s *Scenario) Link(a, b int, lossProb float64) {
 	s.b.net.AddSymmetricLink(a, b, lossProb)
 }
 
-// SetParallelism bounds how many nodes advance concurrently inside the
-// scheduler's conservative-lookahead sections. w <= 1 (the default) keeps
-// node execution sequential; w < 0 selects GOMAXPROCS. Serialized traces
-// are byte-identical at any setting.
-func (s *Scenario) SetParallelism(w int) { s.b.parallel = w }
+// SetReference runs the scenario on the single-step reference engine (node
+// SingleStep + the fixed-quantum sim scheduler), the trace-equivalence
+// oracle of the default engine — what Reference selects on the case-study
+// configs. It may be called any time before Run.
+func (s *Scenario) SetReference(on bool) { s.b.reference = on }
 
 // Run executes the scenario for the given wall-clock seconds of simulated
 // time and returns the collected run. A scenario runs once.

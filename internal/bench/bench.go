@@ -97,12 +97,6 @@ var CaseIPeriods = []int{20, 40, 60, 80, 100}
 // several seeds so nothing below depends on this one being lucky.
 const BugSeed = 1
 
-// NodeWorkers configures every entry's record phase exactly like the
-// identically-named internal/experiments global: recorded traces are
-// byte-identical at any setting, so no metric in a Report depends on it —
-// it only changes how fast the runs execute.
-var NodeWorkers int
-
 // Entry is one corpus bug: a buggy/fixed scenario pair, the mining
 // configuration of its monitored event type, and its ground-truth oracle.
 type Entry struct {
@@ -246,7 +240,7 @@ func Catalog() []Entry {
 // bugRuns lifts a synth seeded-bug runner into an Entry.Runs.
 func bugRuns(run func(synth.BugScenarioConfig) (*apps.Run, error)) func(bool) ([]*apps.Run, error) {
 	return func(fixed bool) ([]*apps.Run, error) {
-		r, err := run(synth.BugScenarioConfig{Seed: BugSeed, Fixed: fixed, NodeWorkers: NodeWorkers})
+		r, err := run(synth.BugScenarioConfig{Seed: BugSeed, Fixed: fixed})
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +256,6 @@ func caseIRuns(fixed bool) ([]*apps.Run, error) {
 		var err error
 		runs[i], err = apps.RunOscilloscope(apps.OscConfig{
 			PeriodMS: d, Seconds: 10, Seed: CaseISeedBase + uint64(i), Fixed: fixed,
-			NodeWorkers: NodeWorkers,
 		})
 		if err != nil {
 			return nil, err
@@ -292,7 +285,6 @@ func caseIIntegrity(runs []*apps.Run) (int, error) {
 func caseIIRuns(fixed bool) ([]*apps.Run, error) {
 	run, err := apps.RunForwarder(apps.ForwarderConfig{
 		Seconds: 20, Seed: CaseIISeed, Fixed: fixed,
-		NodeWorkers: NodeWorkers,
 	})
 	if err != nil {
 		return nil, err
@@ -303,7 +295,6 @@ func caseIIRuns(fixed bool) ([]*apps.Run, error) {
 func caseIIIRuns(fixed bool) ([]*apps.Run, error) {
 	run, err := apps.RunCTPHeartbeat(apps.CTPConfig{
 		Seconds: 15, Seed: CaseIIISeed, Fixed: fixed,
-		NodeWorkers: NodeWorkers,
 	})
 	if err != nil {
 		return nil, err

@@ -33,18 +33,8 @@ type Config struct {
 	// Labels defaults to core.LabelRunSeq.
 	Labels core.LabelStyle
 	// Workers bounds the pool running scenarios concurrently; <= 0
-	// selects GOMAXPROCS (divided by NodeWorkers when set, so a campaign
-	// of parallel-emulation runs does not oversubscribe the machine). The
-	// ranking is identical at any setting.
+	// selects GOMAXPROCS. The ranking is identical at any setting.
 	Workers int
-	// NodeWorkers is the emulator-side parallelism each run should use
-	// (sim.Config.ParallelNodes): how many nodes advance concurrently
-	// inside one simulation's conservative-lookahead sections. RunFunc
-	// builders pass it into their scenario configs (see
-	// experiments.CaseICampaign); Mine uses it only to budget the default
-	// run pool. Traces, and therefore rankings, are identical at any
-	// setting.
-	NodeWorkers int
 	// SVMCacheBytes bounds the default detector's kernel column cache
 	// (0 selects svm.DefaultCacheBytes); see core.Config.SVMCacheBytes.
 	// Rankings are bit-identical at any budget. Ignored when Detector is
@@ -180,13 +170,6 @@ func poolWorkers(cfg Config, runs int) int {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-		if cfg.NodeWorkers > 1 {
-			// Each run brings its own node-section workers; shrink the
-			// run-level fan-out so total goroutines stay near GOMAXPROCS.
-			if workers = workers / cfg.NodeWorkers; workers < 1 {
-				workers = 1
-			}
-		}
 	}
 	if workers > runs {
 		workers = runs

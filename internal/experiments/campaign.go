@@ -23,7 +23,6 @@ func CaseICampaign(seedBase uint64) (*core.Ranking, error) {
 		runs[i] = func(attach campaign.Attach) error {
 			run, err := apps.RunOscilloscope(apps.OscConfig{
 				PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-				NodeWorkers: NodeWorkers,
 				Stream: map[int]trace.StreamSink{
 					apps.OscSensorID: attach(apps.OscSensorID),
 				},
@@ -39,9 +38,8 @@ func CaseICampaign(seedBase uint64) (*core.Ranking, error) {
 		}
 	}
 	return campaign.Mine(campaign.Config{
-		IRQ:         dev.IRQADC,
-		Nodes:       []int{apps.OscSensorID},
-		NodeWorkers: NodeWorkers,
+		IRQ:   dev.IRQADC,
+		Nodes: []int{apps.OscSensorID},
 	}, runs)
 }
 
@@ -139,7 +137,6 @@ func mineCaseIOnline(seedBase uint64, workers int, online campaign.OnlineOptions
 		runs[i] = func(attach campaign.Attach) error {
 			run, err := apps.RunOscilloscope(apps.OscConfig{
 				PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-				NodeWorkers: NodeWorkers,
 				Stream: map[int]trace.StreamSink{
 					apps.OscSensorID: attach(apps.OscSensorID),
 				},
@@ -156,11 +153,10 @@ func mineCaseIOnline(seedBase uint64, workers int, online campaign.OnlineOptions
 	online.SpillDir = spillDir
 	online.OnRanking = func(*core.OnlineRanking) { *refits++ }
 	return campaign.Mine(campaign.Config{
-		IRQ:         dev.IRQADC,
-		Nodes:       []int{apps.OscSensorID},
-		NodeWorkers: NodeWorkers,
-		Workers:     workers,
-		Online:      &online,
+		IRQ:     dev.IRQADC,
+		Nodes:   []int{apps.OscSensorID},
+		Workers: workers,
+		Online:  &online,
 	}, runs)
 }
 
@@ -171,7 +167,6 @@ func caseIRanking(seedBase uint64) (*core.Ranking, error) {
 	for i, d := range CaseIPeriods {
 		run, err := apps.RunOscilloscope(apps.OscConfig{
 			PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-			NodeWorkers: NodeWorkers,
 		})
 		if err != nil {
 			return nil, err

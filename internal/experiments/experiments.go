@@ -30,14 +30,6 @@ const (
 	CaseIIISeed   = bench.CaseIIISeed
 )
 
-// NodeWorkers is the emulator-side parallelism every experiment's record
-// phase uses (sim.Config.ParallelNodes): how many nodes advance
-// concurrently inside each simulation's conservative-lookahead sections.
-// Recorded traces are byte-identical at any setting, so no result in this
-// package depends on it; it only changes how fast the record phases run.
-// The cmd/experiments -node-workers flag sets it before the report starts.
-var NodeWorkers int
-
 // CaseResult summarizes one case-study reproduction.
 type CaseResult struct {
 	Name        string
@@ -74,7 +66,6 @@ func CaseI(seedBase uint64) (*CaseResult, error) {
 			defer wg.Done()
 			runs[i], errs[i] = apps.RunOscilloscope(apps.OscConfig{
 				PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-				NodeWorkers: NodeWorkers,
 			})
 		}(i, d)
 	}
@@ -101,7 +92,7 @@ func CaseI(seedBase uint64) (*CaseResult, error) {
 
 // CaseII reproduces Figure 5(b): one 20-second forwarding run.
 func CaseII(seed uint64) (*CaseResult, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: case II: %w", err)
 	}
@@ -122,7 +113,7 @@ func CaseII(seed uint64) (*CaseResult, error) {
 
 // CaseIII reproduces Figure 5(c): one 15-second nine-node run.
 func CaseIII(seed uint64) (*CaseResult, error) {
-	run, err := apps.RunCTPHeartbeat(apps.CTPConfig{Seconds: 15, Seed: seed, NodeWorkers: NodeWorkers})
+	run, err := apps.RunCTPHeartbeat(apps.CTPConfig{Seconds: 15, Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: case III: %w", err)
 	}
@@ -212,7 +203,7 @@ type VolumeResult struct {
 
 // TraceVolume measures the Case-I run at D = 20 ms.
 func TraceVolume() (*VolumeResult, error) {
-	run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: CaseISeedBase, NodeWorkers: NodeWorkers})
+	run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: CaseISeedBase})
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +229,7 @@ type EffortResult struct {
 
 // InspectionEffort measures the Case-II workload.
 func InspectionEffort(seed uint64) (*EffortResult, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +271,7 @@ type AblationRow struct {
 
 // DetectorAblation is A1 on Case II.
 func DetectorAblation(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +308,7 @@ func DetectorAblation(seed uint64) ([]AblationRow, error) {
 
 // FeatureAblation is A2 on Case II.
 func FeatureAblation(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +343,7 @@ func FeatureAblation(seed uint64) ([]AblationRow, error) {
 
 // KernelAblation is A3 on Case I run 1.
 func KernelAblation(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: seed, NodeWorkers: NodeWorkers})
+	run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -391,7 +382,7 @@ func KernelAblation(seed uint64) ([]AblationRow, error) {
 func DustminerBaseline() ([]AblationRow, error) {
 	var rows []AblationRow
 
-	caseIRun, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: CaseISeedBase, NodeWorkers: NodeWorkers})
+	caseIRun, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: CaseISeedBase})
 	if err != nil {
 		return nil, err
 	}
@@ -403,7 +394,7 @@ func DustminerBaseline() ([]AblationRow, error) {
 	}
 	rows = append(rows, AblationRow{Name: "Case I (labels supplied)", Extra: score})
 
-	caseIIRun, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: CaseIISeed, NodeWorkers: NodeWorkers})
+	caseIIRun, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: CaseIISeed})
 	if err != nil {
 		return nil, err
 	}
@@ -446,7 +437,7 @@ func dustminerScore(run *apps.Run, nodeID, irq int, oracle func(lifecycle.Interv
 // reports the rank of the first busy-drop per value — the check that the
 // default 0.05 is not a tuned constant.
 func NuSensitivity(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +471,6 @@ func SequentialAblation() (preemptive, sequential int, err error) {
 	count := func(seqMode bool) (int, error) {
 		run, err := apps.RunOscilloscope(apps.OscConfig{
 			PeriodMS: 20, Seconds: 10, Seed: 1, Sequential: seqMode,
-			NodeWorkers: NodeWorkers,
 		})
 		if err != nil {
 			return 0, err
@@ -515,6 +505,5 @@ func SequentialAblation() (preemptive, sequential int, err error) {
 // oracle, with precision@k and MRR aggregated per bug class. The same
 // report is what `rank -bench` gates against BENCH_QUALITY.json in CI.
 func RankingQuality() (*bench.Report, error) {
-	bench.NodeWorkers = NodeWorkers
 	return bench.EvaluateAll(bench.Catalog())
 }

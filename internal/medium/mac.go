@@ -58,7 +58,7 @@ type MAC struct {
 	airingUntil uint64
 
 	// staged buffers callbacks created while the network is in a staging
-	// section (concurrent node execution); only this MAC's node writes it,
+	// section; only this MAC's node writes it,
 	// and the scheduler drains it at the section barrier via CommitStaged.
 	staged []stagedEvent
 

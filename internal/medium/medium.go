@@ -168,8 +168,8 @@ type Network struct {
 	freeTx     []*transmission
 
 	// staging redirects node-initiated MAC callbacks (Submit's backoff
-	// timer) into per-MAC buffers instead of the shared queue, so nodes
-	// may execute concurrently; see BeginStaging.
+	// timer) into per-MAC buffers instead of the shared queue, so a
+	// section's nodes advance independently; see BeginStaging.
 	staging       bool
 	stagedScratch []stagedEvent
 }
@@ -324,8 +324,8 @@ func (n *Network) HasMACs() bool { return len(n.macs) > 0 }
 // MinSubmitDelay is the minimum delay, in cycles, between a node-initiated
 // MAC action and the earliest shared-queue event it can create: Submit
 // always passes through a random backoff of at least one slot. It is the
-// conservative lookahead of the parallel scheduler — a section of strictly
-// fewer cycles can never be invalidated by a concurrent submit.
+// conservative lookahead of the scheduler's sections — a section of strictly
+// fewer cycles can never be invalidated by another node's submit.
 const MinSubmitDelay = BackoffSlot
 
 // stagedEvent is a queue entry captured during a staging section instead of
@@ -343,8 +343,9 @@ type stagedEvent struct {
 // BeginStaging enters a staging section: until CommitStaged, callbacks
 // scheduled from node execution (MAC.Submit) are buffered on the submitting
 // MAC instead of the shared queue. Within a section each MAC may only be
-// driven by its own node, so concurrent node execution never touches shared
-// network state. Advance must not be called while staging.
+// driven by its own node, so a section's node advances never touch shared
+// network state and may run in any order. Advance must not be called while
+// staging.
 func (n *Network) BeginStaging() { n.staging = true }
 
 // CommitStaged ends a staging section and schedules everything the listed

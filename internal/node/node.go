@@ -154,6 +154,10 @@ func (n *Node) Raise(irq int) {
 // into lockstep.
 func (n *Node) SetRaiseHook(fn func()) { n.onRaise = fn }
 
+// SetSingleStep selects the reference execution engine (Config.SingleStep)
+// after construction; call it before the node first runs.
+func (n *Node) SetSingleStep(on bool) { n.singleStep = on }
+
 // Clock returns the node's current cycle time (== the global clock).
 func (n *Node) Clock() uint64 { return n.clock }
 
@@ -329,8 +333,10 @@ func (n *Node) dispatchIRQ() bool {
 // startTask pops the task queue and enters the task body (Rule 3). It
 // returns false when the node failed.
 func (n *Node) startTask() bool {
+	// Shift rather than reslice, so the queue keeps its backing array and
+	// posting never reallocates once it has grown.
 	te := n.queue[0]
-	n.queue = n.queue[1:]
+	n.queue = n.queue[:copy(n.queue, n.queue[1:])]
 	entry, ok := n.prog.Tasks[te.id]
 	if !ok {
 		n.fail(fmt.Errorf("posted task %d has no entry", te.id))

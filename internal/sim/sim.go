@@ -10,9 +10,12 @@
 //   - Exactly one node active: the node runs alone toward the next
 //     boundary anything else cares about (other wakes, network events),
 //     via node.AdvanceJump, covering thousands of quanta in one call.
-//   - Two or more nodes active: classic lockstep rounds, but dormant
-//     nodes are skipped — a node with no work and no due device event
-//     would only fast-forward its clock, which is unobservable.
+//   - Two or more nodes active: a conservative-lookahead section (see
+//     section.go) runs each of them toward the earliest point another node
+//     could affect it. Where the lookahead is too short, classic lockstep
+//     rounds, but dormant nodes are skipped — a node with no work and no
+//     due device event would only fast-forward its clock, which is
+//     unobservable.
 //
 // A raise hook on every node keeps the skipping honest: when the medium
 // raises an interrupt on a node that was skipped, the node is first brought
@@ -27,7 +30,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"sentomist/internal/medium"
 	"sentomist/internal/node"
@@ -59,10 +61,7 @@ type Sim struct {
 	mustAdvance []bool   // raised by the medium mid-round; advance this round
 	heap        *wakeHeap
 
-	// Parallel-section state (see parallel.go). workers <= 1 keeps the
-	// engine fully sequential.
-	workers  int
-	pool     *nodePool
+	// Section state (see section.go).
 	members  []sectionTask // scratch: section pass tasks
 	sectIDs  []int         // scratch: advanced-node IDs for the staging barrier
 	sectStop []uint64      // scratch: per-node section stop boundary
@@ -79,11 +78,6 @@ type Config struct {
 	Quantum uint64
 	// Reference selects the fixed-quantum reference scheduler.
 	Reference bool
-	// ParallelNodes bounds how many nodes advance concurrently inside
-	// conservative-lookahead sections; <= 1 (the default) keeps node
-	// execution sequential, < 0 selects GOMAXPROCS. Traces are
-	// byte-identical at any setting.
-	ParallelNodes int
 }
 
 // NewWithConfig creates a simulation with explicit scheduler knobs.
@@ -93,7 +87,6 @@ func NewWithConfig(cfg Config, nodes []*node.Node, net *medium.Network) *Sim {
 		s.SetQuantum(cfg.Quantum)
 	}
 	s.SetReference(cfg.Reference)
-	s.SetParallelism(cfg.ParallelNodes)
 	return s
 }
 
@@ -116,17 +109,6 @@ func (s *Sim) SetQuantum(q uint64) {
 // the event-horizon engine and is substantially slower.
 func (s *Sim) SetReference(on bool) { s.reference = on }
 
-// SetParallelism bounds how many nodes advance concurrently inside
-// conservative-lookahead sections. w <= 1 keeps node execution sequential
-// (the default); w < 0 selects GOMAXPROCS. Serialized traces are
-// byte-identical at any setting.
-func (s *Sim) SetParallelism(w int) {
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	s.workers = w
-}
-
 // Clock returns the current global cycle time.
 func (s *Sim) Clock() uint64 { return s.clock }
 
@@ -137,14 +119,6 @@ func (s *Sim) Run(until uint64) error {
 		return s.runReference(until)
 	}
 	s.init()
-	// The pool is created lazily by the first section; park its workers
-	// for good on exit so sims do not leak goroutines (campaigns create
-	// thousands of them).
-	defer func() {
-		if s.pool != nil {
-			s.pool.quiesce(&s.stats)
-		}
-	}()
 	for s.clock < until {
 		nRun, rIdx, alive := s.scan()
 		if !alive {
@@ -159,7 +133,7 @@ func (s *Sim) Run(until uint64) error {
 				continue
 			}
 		}
-		if nRun >= 2 && s.workers > 1 {
+		if nRun >= 2 {
 			ran, err := s.trySection(until)
 			if err != nil {
 				return err

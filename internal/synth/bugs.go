@@ -22,9 +22,6 @@ type BugScenarioConfig struct {
 	Seed uint64
 	// Fixed selects the repaired firmware.
 	Fixed bool
-	// NodeWorkers bounds how many nodes advance concurrently inside the
-	// scheduler's conservative-lookahead sections; <= 1 stays sequential.
-	NodeWorkers int
 }
 
 func (c BugScenarioConfig) seconds(def float64) float64 {
@@ -47,7 +44,6 @@ func bugLFSRSeed(id int) uint8 {
 // off in the lrt scenario so the only dissemination gaps are seeded ones).
 func splashScenario(cfg BugScenarioConfig, buggyRoot, buggyLeaf, rootBeacons bool) (*apps.Run, error) {
 	s := apps.NewScenario(cfg.Seed)
-	s.SetParallelism(cfg.NodeWorkers)
 	if err := s.AddNode(apps.NodeSpec{
 		ID:     apps.SplashRootID,
 		Source: apps.SplashRootSource(buggyRoot, rootBeacons),
@@ -105,7 +101,6 @@ const (
 // Monitored: the route-maintenance tick (IRQ Timer0) on the leaf.
 func TreeIncons(cfg BugScenarioConfig) (*apps.Run, error) {
 	s := apps.NewScenario(cfg.Seed)
-	s.SetParallelism(cfg.NodeWorkers)
 	if err := s.AddNode(apps.NodeSpec{
 		ID:     apps.TreeRootID,
 		Source: apps.TreeRouteSinkSource(),
@@ -151,7 +146,6 @@ func TreeIncons(cfg BugScenarioConfig) (*apps.Run, error) {
 // Monitored: packet arrival (IRQ RadioRX) on the relay.
 func FPAck(cfg BugScenarioConfig) (*apps.Run, error) {
 	s := apps.NewScenario(cfg.Seed)
-	s.SetParallelism(cfg.NodeWorkers)
 	if err := s.AddNode(apps.NodeSpec{
 		ID:     apps.FPAckSinkID,
 		Source: apps.FPAckSinkSource(),
@@ -188,7 +182,6 @@ func FPAck(cfg BugScenarioConfig) (*apps.Run, error) {
 // IRQ set.
 func scratchScenario(cfg BugScenarioConfig, source string, irqs []int) (*apps.Run, error) {
 	s := apps.NewScenario(cfg.Seed)
-	s.SetParallelism(cfg.NodeWorkers)
 	if err := s.AddNode(apps.NodeSpec{
 		ID:         apps.ScratchNodeID,
 		Source:     source,

@@ -26,24 +26,31 @@ type Config struct {
 	ExactNodes int
 	// Seconds is the simulated run length (default 0.5).
 	Seconds float64
-	// NodeWorkers bounds how many nodes advance concurrently inside the
-	// scheduler's conservative-lookahead sections; <= 1 (the default)
-	// keeps node execution sequential, < 0 selects GOMAXPROCS. Traces
-	// are byte-identical at any setting.
-	NodeWorkers int
 }
 
 // Generate builds and executes a random scenario, returning the finished
 // run. Programs are generated so that every posted task terminates (tasks
 // only post strictly higher-numbered tasks) and stacks stay bounded.
 func Generate(cfg Config) (*apps.Run, error) {
-	maxNodes := cfg.MaxNodes
-	if maxNodes <= 0 {
-		maxNodes = 4
-	}
 	seconds := cfg.Seconds
 	if seconds <= 0 {
 		seconds = 0.5
+	}
+	s, err := Build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(seconds)
+}
+
+// Build constructs Generate's random scenario without running it, so a
+// caller can re-record the same scenario on another engine (see
+// apps.Scenario.SetReference). Generate runs it for Seconds, or 0.5 when
+// unset.
+func Build(cfg Config) (*apps.Scenario, error) {
+	maxNodes := cfg.MaxNodes
+	if maxNodes <= 0 {
+		maxNodes = 4
 	}
 	rng := randx.New(cfg.Seed ^ 0x5e17)
 	nNodes := 1 + rng.Intn(maxNodes)
@@ -52,7 +59,6 @@ func Generate(cfg Config) (*apps.Run, error) {
 	}
 
 	s := apps.NewScenario(cfg.Seed)
-	s.SetParallelism(cfg.NodeWorkers)
 	withRadio := nNodes > 1 && rng.Bool(0.7)
 	for id := 0; id < nNodes; id++ {
 		g := &progGen{rng: rng.Split(uint64(id) + 17), radio: withRadio, nodeID: id, nNodes: nNodes}
@@ -85,7 +91,7 @@ func Generate(cfg Config) (*apps.Run, error) {
 			}
 		}
 	}
-	return s.Run(seconds)
+	return s, nil
 }
 
 // progGen emits one random program.
