@@ -16,6 +16,7 @@ import (
 	"sentomist/internal/stats"
 	"sentomist/internal/svm"
 	"sentomist/internal/synth"
+	"sentomist/internal/trace"
 )
 
 // Allocation-profile thresholds for the streaming Case-I end-to-end op
@@ -402,9 +403,9 @@ const (
 )
 
 // chainSim rebuilds the benchmark chain's nodes around its assembled
-// firmware with every node's markers discarded (Recorder.SetSink(nil,
-// true)), and returns the simulator over them.
-func chainSim(t *testing.T) *sim.Sim {
+// firmware, with every node's markers discarded (Recorder.SetSink(nil,
+// true)) when discard is set, and returns the simulator over them.
+func chainSim(t *testing.T, discard bool) *sim.Sim {
 	t.Helper()
 	sc, err := synth.BuildMultihop(synth.MultihopConfig{Nodes: sectionNodes, Seed: 1})
 	if err != nil {
@@ -417,7 +418,7 @@ func chainSim(t *testing.T) *sim.Sim {
 	net := medium.NewNetwork(randx.New(1))
 	nodes := make([]*node.Node, sectionNodes)
 	for id := range nodes {
-		n, err := node.New(node.Config{ID: id, Program: run.Programs[id], Truth: true, DiscardMarkers: true})
+		n, err := node.New(node.Config{ID: id, Program: run.Programs[id], Truth: true, DiscardMarkers: discard})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +446,7 @@ func TestSectionAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts; CI guards allocations in a non-race step")
 	}
-	s := chainSim(t)
+	s := chainSim(t, true)
 	if err := s.Run(sectionWarmCycles); err != nil {
 		t.Fatal(err)
 	}
@@ -469,5 +470,57 @@ func TestSectionAllocBudget(t *testing.T) {
 	if float64(allocs) > maxAllocsPerSection*float64(sections) {
 		t.Errorf("sections allocate: %d allocs over %d sections (budget %.2f per section)",
 			allocs, sections, maxAllocsPerSection)
+	}
+}
+
+// Record allocation guard: the same 12-node chain with markers
+// materialized, warmed for sectionWarmCycles and its traces taken, then
+// recorded for recordCycles more and its traces taken again. The bytes
+// allocated over that window, divided by the markers it recorded, cover
+// each marker's staged record, its deltas and its flattened Marker and
+// truth entry: about 140 B. A marker slice grown by append re-copies
+// itself at every growth step and costs about 375 B, which the budget
+// rejects.
+const (
+	recordCycles            = 20_000_000
+	maxRecordBytesPerMarker = 220
+)
+
+// TestRecordAllocBudget guards the recorder's marker storage: recording a
+// warm chain must allocate a bounded number of bytes per marker.
+func TestRecordAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts; CI guards allocations in a non-race step")
+	}
+	s := chainSim(t, false)
+	if err := s.Run(sectionWarmCycles); err != nil {
+		t.Fatal(err)
+	}
+	markers := func(tr *trace.Trace) (n int) {
+		for _, nt := range tr.Nodes {
+			n += len(nt.Markers)
+		}
+		return n
+	}
+	before := markers(s.Trace())
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := s.Run(sectionWarmCycles + recordCycles); err != nil {
+		t.Fatal(err)
+	}
+	recorded := markers(s.Trace()) - before
+	runtime.ReadMemStats(&m1)
+	bytes := m1.TotalAlloc - m0.TotalAlloc
+	perMarker := float64(bytes) / float64(recorded)
+	t.Logf("12-node chain, %d cycles after warm-up: %d markers, %d bytes (%.1f B/marker)",
+		recordCycles, recorded, bytes, perMarker)
+	if recorded < 100_000 {
+		t.Fatalf("only %d markers in the window; the guard is not exercising the recorder", recorded)
+	}
+	if perMarker > maxRecordBytesPerMarker {
+		t.Errorf("recording allocates %.1f B/marker (budget %d)", perMarker, maxRecordBytesPerMarker)
 	}
 }

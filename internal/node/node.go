@@ -53,7 +53,10 @@ type Node struct {
 	sleeping bool
 	ph       phase
 
+	// queue[qhead:] are the posted tasks not yet started; startTask pops
+	// by advancing qhead.
 	queue      []taskEntry
+	qhead      int
 	sequential bool
 	singleStep bool
 	onRaise    func()
@@ -182,7 +185,7 @@ func (n *Node) Trace() *trace.NodeTrace { return n.rec.Finish() }
 func (n *Node) Release() { n.rec.Release() }
 
 // QueueLen returns the current task-queue depth.
-func (n *Node) QueueLen() int { return len(n.queue) }
+func (n *Node) QueueLen() int { return len(n.queue) - n.qhead }
 
 // Runnable reports whether the node can make progress at the current clock
 // without waiting for a device or network event: the CPU has code to run or
@@ -201,7 +204,7 @@ func (n *Node) Runnable() bool {
 	case phaseBoot, phaseTask:
 		return true
 	case phaseIdle:
-		return n.cpu.IntDepth > 0 || (len(n.queue) > 0 && n.cpu.IntDepth == 0)
+		return n.cpu.IntDepth > 0 || (n.QueueLen() > 0 && n.cpu.IntDepth == 0)
 	}
 	return false
 }
@@ -333,10 +336,17 @@ func (n *Node) dispatchIRQ() bool {
 // startTask pops the task queue and enters the task body (Rule 3). It
 // returns false when the node failed.
 func (n *Node) startTask() bool {
-	// Shift rather than reslice, so the queue keeps its backing array and
-	// posting never reallocates once it has grown.
-	te := n.queue[0]
-	n.queue = n.queue[:copy(n.queue, n.queue[1:])]
+	te := n.queue[n.qhead]
+	n.qhead++
+	// Move the waiting tasks to the front once the head passes half the
+	// queue (or it drains). Each compaction copies fewer entries than were
+	// popped since the last, so pops stay amortized O(1); the queue never
+	// spans more than twice its waiting depth, so once it has grown,
+	// posting does not reallocate.
+	if 2*n.qhead > len(n.queue) {
+		n.queue = n.queue[:copy(n.queue, n.queue[n.qhead:])]
+		n.qhead = 0
+	}
 	entry, ok := n.prog.Tasks[te.id]
 	if !ok {
 		n.fail(fmt.Errorf("posted task %d has no entry", te.id))
@@ -378,7 +388,7 @@ func (n *Node) advanceReference(target uint64) {
 			continue
 		}
 
-		if n.ph == phaseIdle && n.cpu.IntDepth == 0 && len(n.queue) > 0 {
+		if n.ph == phaseIdle && n.cpu.IntDepth == 0 && n.QueueLen() > 0 {
 			if !n.startTask() {
 				return
 			}
@@ -505,7 +515,7 @@ func (n *Node) advanceBatched(target, anchor, quantum uint64, netDirty func() bo
 			continue
 		}
 
-		if n.ph == phaseIdle && n.cpu.IntDepth == 0 && len(n.queue) > 0 {
+		if n.ph == phaseIdle && n.cpu.IntDepth == 0 && n.QueueLen() > 0 {
 			if !n.startTask() {
 				return deadAt(n.clock), JumpDead
 			}

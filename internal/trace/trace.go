@@ -18,6 +18,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -137,10 +138,20 @@ func (t *Trace) Node(id int) *NodeTrace {
 // an untrusted file would exhaust memory instead of failing cleanly.
 const maxProgramLen = 1 << 16
 
-// Validate performs structural checks: unique node IDs, program lengths a
-// uint16 PC can address, non-decreasing cycles, known kinds, PCs within the
-// program, and ground-truth length agreement.
+// maxNodes bounds the number of node traces in a trace. The radio medium
+// addresses nodes with one byte (medium.Broadcast is 255), so a networked
+// run has at most 255 nodes; the bound leaves room for larger unnetworked
+// runs while keeping the per-node state mining sizes by ProgramLen bounded
+// for a trace read from an untrusted file.
+const maxNodes = 1 << 10
+
+// Validate performs structural checks: at most maxNodes (1024) nodes, unique
+// node IDs, program lengths a uint16 PC can address, non-decreasing cycles,
+// known kinds, PCs within the program, and ground-truth length agreement.
 func (t *Trace) Validate() error {
+	if len(t.Nodes) > maxNodes {
+		return fmt.Errorf("trace: %d nodes, more than the limit of %d", len(t.Nodes), maxNodes)
+	}
 	seen := make(map[int]bool, len(t.Nodes))
 	for _, n := range t.Nodes {
 		if n == nil {
@@ -210,8 +221,8 @@ type StreamSink interface {
 	OnMark(kind Kind, arg int, cycle uint64, instance int, touched []uint16, counts []uint32)
 }
 
-// Storage pools. Recorders draw their dense counter scratch, marker
-// storage, and delta arenas from these, and Recorder.Release /
+// Storage pools. Recorders draw their dense counter scratch, staging
+// chunks, marker storage, and delta arenas from these, and Recorder.Release /
 // NodeTrace.Release return them, so campaign-style workloads that run many
 // simulations recycle the big per-run allocations instead of re-growing
 // them. Pool invariant: a released dense buffer is all-zero over its full
@@ -219,12 +230,22 @@ type StreamSink interface {
 // so acquisition never rescans.
 var (
 	densePool  sync.Pool // *denseBuf
+	chunkPool  sync.Pool // *[]stagedMarker, cap == maxChunk
 	markerPool sync.Pool // *[]Marker
 	truthPool  sync.Pool // *[]int
 	arenaPool  sync.Pool // *[]Delta, cap == arenaChunk
 )
 
 const arenaChunk = 4096
+
+// Staging chunk capacities: a node's first chunk holds firstChunk markers
+// and each later one doubles, up to maxChunk, so a short trace never pays
+// for a full-size chunk and a long one allocates O(markers/maxChunk)
+// chunks. Only full-size chunks are pooled.
+const (
+	firstChunk = 256
+	maxChunk   = 8192
+)
 
 type denseBuf struct {
 	counts  []uint32
@@ -240,11 +261,30 @@ func getDense(programLen int) *denseBuf {
 	return &denseBuf{counts: make([]uint32, programLen)}
 }
 
-func getMarkerSlice() []Marker {
-	if p, _ := markerPool.Get().(*[]Marker); p != nil {
+func getChunk(n int) []stagedMarker {
+	if n == maxChunk {
+		if p, _ := chunkPool.Get().(*[]stagedMarker); p != nil {
+			return (*p)[:0]
+		}
+	}
+	return make([]stagedMarker, 0, n)
+}
+
+func putChunk(c []stagedMarker) {
+	if cap(c) != maxChunk {
+		return
+	}
+	c = c[:0]
+	chunkPool.Put(&c)
+}
+
+// getMarkerSlice returns a zero-length marker slice with room for n
+// markers: the pooled one when it is big enough, else an exact-size one.
+func getMarkerSlice(n int) []Marker {
+	if p, _ := markerPool.Get().(*[]Marker); p != nil && cap(*p) >= n {
 		return (*p)[:0]
 	}
-	return nil
+	return make([]Marker, 0, n)
 }
 
 func putMarkerSlice(ms []Marker) {
@@ -257,11 +297,12 @@ func putMarkerSlice(ms []Marker) {
 	markerPool.Put(&ms)
 }
 
-func getTruthSlice() []int {
-	if p, _ := truthPool.Get().(*[]int); p != nil {
+// getTruthSlice is getMarkerSlice for the ground-truth column.
+func getTruthSlice(n int) []int {
+	if p, _ := truthPool.Get().(*[]int); p != nil && cap(*p) >= n {
 		return (*p)[:0]
 	}
-	return nil
+	return make([]int, 0, n)
 }
 
 func putTruthSlice(ts []int) {
@@ -338,16 +379,28 @@ func (d *Dense) Count(pc uint16) {
 // Recorder accumulates one node's trace during emulation. It owns a dense
 // per-PC counter that the MCU increments; Mark snapshots and resets it as a
 // sparse delta.
+//
+// Between Mark and Finish a marker is staged as a fixed-size, pointer-free
+// record (stagedMarker) in chunks that never copy when the store grows, and
+// its deltas go to the node's delta arenas. Finish flattens the staged
+// records into NodeTrace.Markers and TruthInstance in one allocation each,
+// so recording neither re-copies a growing marker slice nor makes the
+// garbage collector scan markers during emulation.
 type Recorder struct {
 	nt    *NodeTrace
 	d     Dense
 	buf   *denseBuf
 	truth bool
 	minSP uint16
-	// arena is the backing store markers' Deltas are carved from, so Mark
+	// arena is the backing store markers' deltas are carved from, so Mark
 	// amortizes one large allocation over many markers instead of
 	// allocating a fresh slice per marker.
 	arena []Delta
+	// full holds the staging chunks that have filled up, tail the chunk
+	// Mark appends to; staged counts the markers in both.
+	full   [][]stagedMarker
+	tail   []stagedMarker
+	staged int
 	// sink, when set, observes every marker before it is materialized.
 	sink StreamSink
 	// discard drops markers instead of materializing them: the recorder
@@ -356,17 +409,28 @@ type Recorder struct {
 	discard bool
 }
 
+// stagedMarker is a marker between Mark and Finish. Its deltas are
+// nt.arenas[arena][off : off+n]. Arg and the ground-truth instance are
+// stored as int32: IRQ numbers and task IDs (a uint16 immediate) fit, and
+// Mark panics on a value that does not.
+type stagedMarker struct {
+	cycle uint64
+	arena uint32
+	off   uint32
+	n     uint32
+	arg   int32
+	inst  int32
+	minSP uint16
+	kind  Kind
+}
+
 // NewRecorder creates a recorder for a node executing a program of
 // programLen instructions. When truth is set, ground-truth instance IDs are
 // recorded alongside markers.
 func NewRecorder(nodeID, programLen int, truth bool) *Recorder {
 	buf := getDense(programLen)
 	return &Recorder{
-		nt: &NodeTrace{
-			NodeID:     nodeID,
-			ProgramLen: programLen,
-			Markers:    getMarkerSlice(),
-		},
+		nt:    &NodeTrace{NodeID: nodeID, ProgramLen: programLen},
 		d:     Dense{Counts: buf.counts, Touched: buf.touched},
 		buf:   buf,
 		truth: truth,
@@ -374,14 +438,16 @@ func NewRecorder(nodeID, programLen int, truth bool) *Recorder {
 	}
 }
 
-// Release zeroes the recorder's dense counter scratch and returns it to
-// the package pool. The node trace (Finish) is unaffected, but the
-// recorder — and the CPU counting into it — must not run afterwards. Safe
-// to call more than once.
+// Release materializes any markers still staged (as Finish does), then
+// zeroes the recorder's dense counter scratch and returns it to the package
+// pool. The node trace (Finish) is unaffected, but the recorder — and the
+// CPU counting into it — must not run afterwards. Safe to call more than
+// once.
 func (r *Recorder) Release() {
 	if r.buf == nil {
 		return
 	}
+	r.Finish()
 	for _, pc := range r.d.Touched {
 		r.d.Counts[pc] = 0
 	}
@@ -435,7 +501,8 @@ func (r *Recorder) CountPCs(pcs []uint16) {
 // Mark appends a lifecycle marker carrying the delta accumulated since the
 // previous marker. instance is the ground-truth event-procedure instance ID
 // (use -1 when unknown); it is stored only when the recorder was created
-// with truth recording enabled.
+// with truth recording enabled. arg, and a recorded instance, must fit in
+// an int32. The marker is staged until the next Finish.
 func (r *Recorder) Mark(kind Kind, arg int, cycle uint64, instance int) {
 	if r.sink != nil {
 		inst := instance
@@ -452,31 +519,94 @@ func (r *Recorder) Mark(kind Kind, arg int, cycle uint64, instance int) {
 		r.minSP = 0xffff
 		return
 	}
-	var deltas []Delta
+	if !r.truth {
+		instance = -1
+	}
+	if int(int32(arg)) != arg || int(int32(instance)) != instance {
+		panic(fmt.Sprintf("trace: marker arg %d or instance %d outside int32", arg, instance))
+	}
+	sm := stagedMarker{kind: kind, arg: int32(arg), cycle: cycle, minSP: r.minSP, inst: int32(instance)}
 	if n := len(r.d.Touched); n > 0 {
 		if len(r.arena)+n > cap(r.arena) {
 			r.arena = getArena(n)
 			r.nt.arenas = append(r.nt.arenas, r.arena)
 		}
-		start := len(r.arena)
+		sm.arena = uint32(len(r.nt.arenas) - 1)
+		sm.off = uint32(len(r.arena))
+		sm.n = uint32(n)
 		for _, pc := range r.d.Touched {
 			r.arena = append(r.arena, Delta{PC: pc, Count: r.d.Counts[pc]})
 			r.d.Counts[pc] = 0
 		}
-		// Reslice with a hard cap so the marker's view can never alias a
-		// later marker's deltas; Touched is reused as scratch.
-		deltas = r.arena[start:len(r.arena):len(r.arena)]
 		r.d.Touched = r.d.Touched[:0]
 	}
-	r.nt.Markers = append(r.nt.Markers, Marker{
-		Kind: kind, Arg: arg, Cycle: cycle, Deltas: deltas, MinSP: r.minSP,
-	})
-	r.minSP = 0xffff
-	if r.truth {
-		r.nt.TruthInstance = append(r.nt.TruthInstance, instance)
+	if len(r.tail) == cap(r.tail) {
+		r.growStaging()
 	}
+	r.tail = append(r.tail, sm)
+	r.staged++
+	r.minSP = 0xffff
+}
+
+// growStaging retires the full tail chunk and starts one of twice its
+// size, capped at maxChunk; it never copies staged markers.
+func (r *Recorder) growStaging() {
+	n := firstChunk
+	if c := cap(r.tail); c > 0 {
+		r.full = append(r.full, r.tail)
+		n = min(2*c, maxChunk)
+	}
+	r.tail = getChunk(n)
 }
 
 // Finish returns the accumulated node trace. Instructions executed after
 // the last marker are discarded, mirroring a monitor detached at run end.
-func (r *Recorder) Finish() *NodeTrace { return r.nt }
+//
+// Finish appends the markers staged since the previous call to
+// NodeTrace.Markers (and TruthInstance) and recycles the staging chunks.
+// The first call sizes both slices exactly, or reuses pooled ones that are
+// big enough; a later call — after more Marks — grows them by append, so
+// calling Finish mid-run and again at the end stays linear. Views taken
+// from an earlier Finish stay valid. Safe to call more than once.
+func (r *Recorder) Finish() *NodeTrace {
+	if r.staged == 0 {
+		return r.nt
+	}
+	nt := r.nt
+	ms, ts := nt.Markers, nt.TruthInstance
+	if len(ms) == 0 {
+		ms = getMarkerSlice(r.staged)
+		if r.truth {
+			ts = getTruthSlice(r.staged)
+		}
+	} else {
+		ms = slices.Grow(ms, r.staged)
+		if r.truth {
+			ts = slices.Grow(ts, r.staged)
+		}
+	}
+	r.full = append(r.full, r.tail)
+	for _, c := range r.full {
+		for i := range c {
+			sm := &c[i]
+			var deltas []Delta
+			if sm.n > 0 {
+				// A hard cap, so no marker's view can alias the next
+				// marker's deltas.
+				end := sm.off + sm.n
+				deltas = nt.arenas[sm.arena][sm.off:end:end]
+			}
+			ms = append(ms, Marker{
+				Kind: sm.kind, Arg: int(sm.arg), Cycle: sm.cycle, Deltas: deltas, MinSP: sm.minSP,
+			})
+			if r.truth {
+				ts = append(ts, int(sm.inst))
+			}
+		}
+		putChunk(c)
+	}
+	clear(r.full)
+	r.full, r.tail, r.staged = r.full[:0], nil, 0
+	nt.Markers, nt.TruthInstance = ms, ts
+	return nt
+}

@@ -50,6 +50,11 @@ func TestValidateRejections(t *testing.T) {
 		{"duplicate node", func(tr *Trace) { tr.Nodes[1].NodeID = tr.Nodes[0].NodeID }, "duplicate node"},
 		{"program too long", func(tr *Trace) { tr.Nodes[0].ProgramLen = 1<<16 + 1 }, "program length"},
 		{"negative program length", func(tr *Trace) { tr.Nodes[1].ProgramLen = -1 }, "program length"},
+		{"too many nodes", func(tr *Trace) {
+			for id := len(tr.Nodes); id <= maxNodes; id++ {
+				tr.Nodes = append(tr.Nodes, &NodeTrace{NodeID: id, ProgramLen: 4})
+			}
+		}, "more than the limit"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
